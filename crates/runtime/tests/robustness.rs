@@ -3,7 +3,7 @@
 //! does not require injected faults (those live in `tests/chaos.rs` behind
 //! the `failpoints` feature).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use corpus::pathological;
 use runtime::{BatchEngine, ResourceLimits, XsdfError};
@@ -141,6 +141,29 @@ fn zero_deadline_reports_budget_and_elapsed() {
         other => panic!("expected deadline, got {other:?}"),
     }
     assert_eq!(report.metrics.failures.deadline, 1);
+}
+
+#[test]
+fn wide_documents_answer_near_their_deadline() {
+    // ~30k nodes under one root. Target selection is linear in the tree
+    // size and the deadline is re-checked per target, so the document
+    // returns within a small multiple of its deadline, not after a pass
+    // quadratic in its width. The deadline leaves room for parsing and
+    // building the tree (about 0.5 s in a debug build), so selection
+    // always runs before it expires.
+    let wide = pathological::mega_fanout(10_000);
+    let engine = engine().threads(1).deadline(Duration::from_secs(2));
+    let started = Instant::now();
+    let report = engine.run(&[wide.as_str()]);
+    let elapsed = started.elapsed();
+    match &report.results[0] {
+        Ok(_) | Err(XsdfError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected a result or a deadline error, got {other:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "a 2 s deadline took {elapsed:?}"
+    );
 }
 
 #[test]

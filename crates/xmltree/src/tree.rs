@@ -159,10 +159,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
     pub fn build(&self, doc: &Document) -> Option<BuildResult> {
         let root = doc.root_element()?;
         let mut out = BuildResult {
-            tree: XmlTree {
-                nodes: Vec::new(),
-                links: Vec::new(),
-            },
+            tree: XmlTree::unfinished(Vec::new()),
             element_nodes: HashMap::new(),
             attribute_nodes: HashMap::new(),
             token_nodes: HashMap::new(),
@@ -293,18 +290,30 @@ pub struct XmlTree {
     nodes: Vec<TreeNode>,
     /// Symmetric hyperlink adjacency, sparse (empty for most documents).
     links: Vec<(NodeId, NodeId)>,
+    /// `Max(depth(T))` of Proposition 2, set by [`XmlTree::finish`].
+    max_depth: u32,
+    /// `Max(f̄an-out(T))` of Proposition 3, set by [`XmlTree::finish`].
+    max_density: usize,
 }
 
 impl XmlTree {
     /// Creates a tree from raw nodes. Intended for tests and generators;
     /// callers must supply consistent parent/child links and depths.
     pub fn from_nodes(nodes: Vec<TreeNode>) -> Self {
-        let mut t = Self {
-            nodes,
-            links: Vec::new(),
-        };
+        let mut t = Self::unfinished(nodes);
         t.finish();
         t
+    }
+
+    /// A tree over `nodes` whose per-tree maxima are not computed yet;
+    /// [`XmlTree::finish`] must run before it is handed out.
+    fn unfinished(nodes: Vec<TreeNode>) -> Self {
+        Self {
+            nodes,
+            links: Vec::new(),
+            max_depth: 0,
+            max_density: 0,
+        }
     }
 
     /// Returns a copy of the tree with every label rewritten through `f`;
@@ -312,16 +321,17 @@ impl XmlTree {
     /// untouched. Intended for metamorphic tests: sphere construction,
     /// distances and context-vector weights depend only on structure and
     /// label *identity*, so any injective relabeling must commute with
-    /// them.
+    /// them. A relabeling that merges labels changes node densities, so
+    /// the cached maxima are recomputed.
     pub fn relabeled(&self, f: impl Fn(&str) -> String) -> Self {
         let mut nodes = self.nodes.clone();
         for n in &mut nodes {
             n.label = f(&n.label);
         }
-        Self {
-            nodes,
-            links: self.links.clone(),
-        }
+        let mut t = Self::unfinished(nodes);
+        t.links = self.links.clone();
+        t.finish();
+        t
     }
 
     /// Installs a hyperlink edge between two nodes (symmetric; duplicates
@@ -354,8 +364,17 @@ impl XmlTree {
         self.links.len()
     }
 
+    /// Computes the per-tree maxima of Propositions 2 and 3 once, so
+    /// [`XmlTree::max_depth`] and [`XmlTree::max_density`] are O(1) and a
+    /// whole-tree ambiguity pass stays linear.
     fn finish(&mut self) {
         debug_assert!(self.check_consistency().is_ok(), "inconsistent tree");
+        self.max_depth = self.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
+        self.max_density = self
+            .preorder()
+            .map(|id| self.density(id))
+            .max()
+            .unwrap_or(0);
     }
 
     /// Verifies structural invariants: node 0 is the only root, parents
@@ -429,6 +448,9 @@ impl XmlTree {
     /// (Proposition 3).
     pub fn density(&self, id: NodeId) -> usize {
         let children = &self.nodes[id.index()].children;
+        if children.len() < 2 {
+            return children.len();
+        }
         let mut labels: Vec<&str> = children
             .iter()
             .map(|c| self.nodes[c.index()].label.as_str())
@@ -454,8 +476,9 @@ impl XmlTree {
     }
 
     /// Maximum depth over all nodes, `Max(depth(T))` of Proposition 2.
+    /// Computed once when the tree is built.
     pub fn max_depth(&self) -> u32 {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
+        self.max_depth
     }
 
     /// Maximum fan-out over all nodes, `Max(fan-out(T))`.
@@ -468,11 +491,9 @@ impl XmlTree {
     }
 
     /// Maximum density over all nodes, `Max(f̄an-out(T))` of Proposition 3.
+    /// Computed once when the tree is built.
     pub fn max_density(&self) -> usize {
-        self.preorder()
-            .map(|id| self.density(id))
-            .max()
-            .unwrap_or(0)
+        self.max_density
     }
 }
 
@@ -628,10 +649,7 @@ mod tests {
                 children: vec![],
             },
         ];
-        let t = XmlTree {
-            nodes,
-            links: Vec::new(),
-        };
+        let t = XmlTree::unfinished(nodes);
         assert!(t.check_consistency().is_err());
     }
 

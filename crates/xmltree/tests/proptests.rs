@@ -75,6 +75,29 @@ proptest! {
         }
     }
 
+    /// The per-tree maxima cached at build time equal a fresh scan, also
+    /// after a relabeling that merges labels (which changes densities).
+    #[test]
+    fn cached_maxima_match_a_fresh_scan(doc in arb_document(), modulus in 1usize..6) {
+        let tree = TreeBuilder::new().build(&doc).unwrap().tree;
+        let merged = tree.relabeled(|l| format!("l{}", l.len() % modulus));
+        let renamed = tree.relabeled(|l| format!("{l}_x"));
+        for t in [&tree, &merged, &renamed] {
+            let depth = t.preorder().map(|id| t.depth(id)).max().unwrap_or(0);
+            let density = t
+                .preorder()
+                .map(|id| {
+                    let labels: std::collections::BTreeSet<&str> =
+                        t.children(id).iter().map(|&c| t.label(c)).collect();
+                    labels.len()
+                })
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(t.max_depth(), depth);
+            prop_assert_eq!(t.max_density(), density);
+        }
+    }
+
     /// Node distance is a metric (symmetry + identity) and sphere distances
     /// agree with pairwise distances.
     #[test]

@@ -71,8 +71,19 @@ pub fn ambiguity_degree(
     node: NodeId,
     w: AmbiguityWeights,
 ) -> f64 {
-    let max_poly = sn.max_polysemy();
-    match candidates_for_label(sn, tree.label(node)) {
+    let candidates = candidates_for_label(sn, tree.label(node));
+    degree_of(tree, node, &candidates, sn.max_polysemy(), w)
+}
+
+/// [`ambiguity_degree`] over the node's already-resolved candidates.
+fn degree_of(
+    tree: &XmlTree,
+    node: NodeId,
+    candidates: &SenseCandidates,
+    max_poly: usize,
+    w: AmbiguityWeights,
+) -> f64 {
+    match candidates {
         SenseCandidates::Unknown => 0.0,
         SenseCandidates::Single(senses) => {
             ambiguity_degree_raw(tree, node, senses.len(), max_poly, w)
@@ -99,17 +110,22 @@ pub struct NodeAmbiguity {
 /// Computes `Amb_Deg` for every node and selects targets per the threshold
 /// policy (Section 3.3). Nodes with no candidate senses are never selected
 /// — they cannot be assigned a concept.
+///
+/// Linear in the tree size: each node's label is resolved once, and the
+/// Proposition 2–3 maxima are the tree's cached per-tree constants.
 pub fn select_targets(
     sn: &SemanticNetwork,
     tree: &XmlTree,
     w: AmbiguityWeights,
     policy: ThresholdPolicy,
 ) -> Vec<NodeAmbiguity> {
+    let max_poly = sn.max_polysemy();
     let degrees: Vec<(NodeId, f64, bool)> = tree
         .preorder()
         .map(|node| {
-            let has_candidates = candidates_for_label(sn, tree.label(node)).candidate_count() > 0;
-            (node, ambiguity_degree(sn, tree, node, w), has_candidates)
+            let candidates = candidates_for_label(sn, tree.label(node));
+            let degree = degree_of(tree, node, &candidates, max_poly, w);
+            (node, degree, candidates.candidate_count() > 0)
         })
         .collect();
 

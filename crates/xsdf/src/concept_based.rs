@@ -13,38 +13,115 @@
 //! `Sim` is the combined measure of Definition 9. Compound target labels use
 //! the averaged pair similarity of Equation 10.
 
+use std::borrow::Cow;
+use std::cell::{RefCell, RefMut};
+use std::collections::HashMap;
+
 use semnet::{ConceptId, SemanticNetwork};
 use semsim::{CombinedSimilarity, SimilarityCache, SparseVector};
 use xmltree::{NodeId, XmlTree};
 
-use crate::senses::{disambiguation_candidates, SenseCandidates};
+use crate::pipeline::SenseChoice;
+use crate::senses::{disambiguation_candidates, LabelId, LabelTable, SenseCandidates};
 use crate::sphere::{
     xml_context_vector, xml_context_vector_weighted, xml_sphere, xml_sphere_weighted,
 };
 use xmltree::distance::DistancePolicy;
 
+/// One document's memo of context-entry evidence ([`entry_evidence`]).
+/// Evidence depends only on the target candidate (or candidate pair) and
+/// the context label, so the memo keeps one row per candidate with one
+/// slot per distinct label of the document's [`LabelTable`], filled on
+/// first use. It lives for one `disambiguate_selected_guarded` call, so
+/// it holds at most that document's (candidate × distinct label) values
+/// and never outlives the similarity measure it was filled with.
+pub(crate) struct EvidenceMemo {
+    labels: usize,
+    rows: RefCell<HashMap<SenseChoice, Vec<Option<f64>>>>,
+}
+
+impl EvidenceMemo {
+    /// An empty memo for a document with `labels` distinct labels.
+    pub(crate) fn new(labels: usize) -> Self {
+        Self {
+            labels,
+            rows: RefCell::default(),
+        }
+    }
+
+    /// The evidence row of `target`, indexed by [`LabelId::index`].
+    fn row(&self, target: SenseChoice) -> RefMut<'_, Vec<Option<f64>>> {
+        let labels = self.labels;
+        RefMut::map(self.rows.borrow_mut(), |rows| {
+            rows.entry(target).or_insert_with(|| vec![None; labels])
+        })
+    }
+}
+
+/// A branch-and-bound request for [`ConceptContext::score`]: the
+/// context's [`ConceptContext::suffix_weight_sums`], and the test each
+/// running upper bound is offered to (`true` abandons the candidate).
+pub type Bound<'a> = (&'a [f64], &'a mut dyn FnMut(f64) -> bool);
+
 /// Pre-resolved context information for one target node, reused across all
 /// of its candidate senses.
-pub struct ConceptContext {
-    /// `(context label, context-vector weight, senses of that label)` per
-    /// sphere node, with the compound special case flattened: a compound
-    /// context label contributes its two token sense lists separately, each
-    /// averaged per Equation 10's note on compound context labels.
-    entries: Vec<ContextEntry>,
+pub struct ConceptContext<'t> {
+    /// One entry per sphere node whose label has senses.
+    entries: Vec<ContextEntry<'t>>,
     /// `|S_d(x)|` of Definition 8: the center (ring `R_0`) plus all
     /// context nodes, so always ≥ 1.
     cardinality: usize,
+    /// The document's evidence memo, for contexts built by
+    /// [`ConceptContext::build_in`].
+    memo: Option<&'t EvidenceMemo>,
 }
 
-struct ContextEntry {
+struct ContextEntry<'t> {
+    /// The context-vector weight `w_{V_d(x)}(x_i.ℓ)` of the node's label.
     weight: f64,
-    senses: Vec<ConceptId>,
-    /// Second sense list for compound context labels (averaged with the
-    /// first when scoring).
-    second_senses: Option<Vec<ConceptId>>,
+    /// The senses of the node's label, owned or lent by the document's
+    /// [`LabelTable`]. A compound context label keeps its two token sense
+    /// lists, averaged when scoring (Equation 10's note on compound
+    /// context labels).
+    senses: Cow<'t, SenseCandidates>,
+    /// The node's label id in the document's [`LabelTable`] (its memo
+    /// slot), for contexts built by [`ConceptContext::build_in`].
+    label: Option<LabelId>,
 }
 
-impl ConceptContext {
+/// `Max_j Sim(s_p, s_j^i)` of Definition 8: the best similarity between
+/// the target candidate and the senses of one context label. A pair
+/// target scores each context sense by the average of its two tokens'
+/// similarities (Equation 10); a compound context label averages its two
+/// tokens' maxima. This is the only place evidence is computed.
+fn entry_evidence<C: SimilarityCache>(
+    sn: &SemanticNetwork,
+    sim: &CombinedSimilarity<C>,
+    senses: &SenseCandidates,
+    target: SenseChoice,
+) -> f64 {
+    let sim_to = |s: ConceptId| match target {
+        SenseChoice::Single(c) => sim.similarity(sn, c, s),
+        SenseChoice::Pair(a, b) => (sim.similarity(sn, a, s) + sim.similarity(sn, b, s)) / 2.0,
+    };
+    let best = |senses: &[ConceptId]| senses.iter().map(|&s| sim_to(s)).fold(0.0f64, f64::max);
+    match senses {
+        SenseCandidates::Unknown => 0.0,
+        SenseCandidates::Single(senses) => best(senses),
+        SenseCandidates::Compound { first, second } => {
+            let (best_first, best_second) = (best(first), best(second));
+            if first.is_empty() {
+                best_second
+            } else if second.is_empty() {
+                best_first
+            } else {
+                (best_first + best_second) / 2.0
+            }
+        }
+    }
+}
+
+impl ConceptContext<'static> {
     /// Resolves the sphere context of `target` at the given radius.
     pub fn build(sn: &SemanticNetwork, tree: &XmlTree, target: NodeId, radius: u32) -> Self {
         Self::build_with_policy(sn, tree, target, radius, DistancePolicy::EdgeCount)
@@ -59,15 +136,50 @@ impl ConceptContext {
         radius: u32,
         policy: DistancePolicy,
     ) -> Self {
-        let nodes: Vec<(NodeId, ())> = if policy == DistancePolicy::EdgeCount {
+        ConceptContext::assemble(tree, target, radius, policy, None, |node| {
+            let senses = disambiguation_candidates(sn, tree.label(node), tree.node(node).kind);
+            (Cow::Owned(senses), None)
+        })
+    }
+}
+
+impl<'t> ConceptContext<'t> {
+    /// [`ConceptContext::build_with_policy`] within one document's scope:
+    /// sense lists are lent by `labels` instead of resolved per sphere
+    /// node, and entry evidence is memoized in `memo`.
+    pub(crate) fn build_in(
+        labels: &'t LabelTable<'t>,
+        memo: &'t EvidenceMemo,
+        tree: &XmlTree,
+        target: NodeId,
+        radius: u32,
+        policy: DistancePolicy,
+    ) -> Self {
+        Self::assemble(tree, target, radius, policy, Some(memo), |node| {
+            (
+                Cow::Borrowed(labels.candidates(node)),
+                Some(labels.label_id(node)),
+            )
+        })
+    }
+
+    fn assemble(
+        tree: &XmlTree,
+        target: NodeId,
+        radius: u32,
+        policy: DistancePolicy,
+        memo: Option<&'t EvidenceMemo>,
+        mut resolve: impl FnMut(NodeId) -> (Cow<'t, SenseCandidates>, Option<LabelId>),
+    ) -> Self {
+        let nodes: Vec<NodeId> = if policy == DistancePolicy::EdgeCount {
             xml_sphere(tree, target, radius)
                 .into_iter()
-                .map(|(n, _)| (n, ()))
+                .map(|(n, _)| n)
                 .collect()
         } else {
             xml_sphere_weighted(tree, target, radius, policy)
                 .into_iter()
-                .map(|(n, _)| (n, ()))
+                .map(|(n, _)| n)
                 .collect()
         };
         let vector = xml_context_vector_weighted(tree, target, radius, policy);
@@ -78,30 +190,20 @@ impl ConceptContext {
         // by (n+1)/n relative to the definitions.
         let cardinality = nodes.len() + 1;
         let mut entries = Vec::with_capacity(nodes.len());
-        for (node, _) in nodes {
-            let label = tree.label(node);
-            let weight = vector.get(label);
-            match disambiguation_candidates(sn, label, tree.node(node).kind) {
-                SenseCandidates::Unknown => {}
-                SenseCandidates::Single(senses) => {
-                    entries.push(ContextEntry {
-                        weight,
-                        senses,
-                        second_senses: None,
-                    });
-                }
-                SenseCandidates::Compound { first, second } => {
-                    entries.push(ContextEntry {
-                        weight,
-                        senses: first,
-                        second_senses: Some(second),
-                    });
-                }
+        for node in nodes {
+            let (senses, label) = resolve(node);
+            if *senses != SenseCandidates::Unknown {
+                entries.push(ContextEntry {
+                    weight: vector.get(tree.label(node)),
+                    senses,
+                    label,
+                });
             }
         }
         Self {
             entries,
             cardinality,
+            memo,
         }
     }
 
@@ -148,169 +250,80 @@ impl ConceptContext {
     /// included), sorted and deduplicated — the evidence set the density
     /// pre-score of [`crate::prune`] screens candidates against.
     pub fn context_senses(&self) -> Vec<ConceptId> {
-        let mut senses: Vec<ConceptId> = self
-            .entries
-            .iter()
-            .flat_map(|e| {
-                e.senses
-                    .iter()
-                    .chain(e.second_senses.iter().flatten())
-                    .copied()
-            })
-            .collect();
+        let mut senses: Vec<ConceptId> = Vec::new();
+        for e in &self.entries {
+            match e.senses.as_ref() {
+                SenseCandidates::Unknown => {}
+                SenseCandidates::Single(s) => senses.extend_from_slice(s),
+                SenseCandidates::Compound { first, second } => {
+                    senses.extend_from_slice(first);
+                    senses.extend_from_slice(second);
+                }
+            }
+        }
         senses.sort_unstable();
         senses.dedup();
         senses
     }
 
-    fn max_sim_with<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        entry: &ContextEntry,
-        score_of: &dyn Fn(&SemanticNetwork, &CombinedSimilarity<C>, ConceptId) -> f64,
-    ) -> f64 {
-        // Max over the context node's senses of Sim(candidate, s_j^i).
-        let best_first = entry
-            .senses
-            .iter()
-            .map(|&s| score_of(sn, sim, s))
-            .fold(0.0f64, f64::max);
-        match &entry.second_senses {
-            None => best_first,
-            Some(second) => {
-                let best_second = second
-                    .iter()
-                    .map(|&s| score_of(sn, sim, s))
-                    .fold(0.0f64, f64::max);
-                // Compound context label: average the two tokens' best
-                // similarities (mirror of Equation 10 applied to context).
-                if entry.senses.is_empty() {
-                    best_second
-                } else if second.is_empty() {
-                    best_first
-                } else {
-                    (best_first + best_second) / 2.0
-                }
-            }
-        }
-    }
-
-    /// `Concept_Score(s_p, S_d(x), S̄N)` of Definition 8.
-    pub fn score_single<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        candidate: ConceptId,
-    ) -> f64 {
-        let total: f64 = self
-            .entries
-            .iter()
-            .map(|e| {
-                let best =
-                    self.max_sim_with(sn, sim, e, &|sn, sim, s| sim.similarity(sn, candidate, s));
-                best * e.weight
-            })
-            .sum();
-        (total / self.cardinality as f64).clamp(0.0, 1.0)
-    }
-
-    /// `Concept_Score((s_p, s_q), S_d(x), S̄N)` of Equation 10 — the
-    /// compound-target special case: each context comparison averages the
-    /// similarities of the two target token senses.
-    pub fn score_pair<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        first: ConceptId,
-        second: ConceptId,
-    ) -> f64 {
-        let total: f64 = self
-            .entries
-            .iter()
-            .map(|e| {
-                let best = self.max_sim_with(sn, sim, e, &|sn, sim, s| {
-                    (sim.similarity(sn, first, s) + sim.similarity(sn, second, s)) / 2.0
-                });
-                best * e.weight
-            })
-            .sum();
-        (total / self.cardinality as f64).clamp(0.0, 1.0)
-    }
-
-    /// Shared core of the bounded scorers. After each entry the running
-    /// upper bound `min(1, (partial + suffix[i + 1]) / |S_d(x)|)` on the
-    /// final concept score is offered to `abandon`; a `true` return stops
+    /// `Concept_Score` of Definition 8 for a single candidate, or of
+    /// Equation 10 for a compound target's sense pair (each context
+    /// comparison averages the similarities of the two target token
+    /// senses).
+    ///
+    /// With a `bound` ([`crate::prune`] level (a)), after each entry the
+    /// running upper bound `min(1, (partial + suffix[i + 1]) / |S_d(x)|)`
+    /// on the final score is offered to the abandonment test; `true` stops
     /// the candidate with `None`. The bound is never offered after the
     /// last entry (at that point the score is already fully computed, so
-    /// abandoning would save nothing and miscount pruning work).
-    ///
-    /// Survivors are **bit-identical** to the unbounded scorers: the
-    /// running `total += best · w_i` accumulates in the same left-to-right
-    /// order as `Iterator::sum` (a fold from 0.0), and the final
-    /// `clamp(total / |S_d(x)|)` is the same expression.
-    fn score_bounded_with<C: SimilarityCache>(
+    /// abandoning would save nothing and miscount pruning work). Without a
+    /// bound the result is always `Some`. Survivors are **bit-identical**
+    /// to unbounded scores: both run the same left-to-right
+    /// `total += evidence · w_i` and the same final `clamp(total /
+    /// |S_d(x)|)`, and memoized evidence is the same f64 the entry would
+    /// recompute.
+    pub fn score<C: SimilarityCache>(
         &self,
         sn: &SemanticNetwork,
         sim: &CombinedSimilarity<C>,
-        score_of: &dyn Fn(&SemanticNetwork, &CombinedSimilarity<C>, ConceptId) -> f64,
-        suffix: &[f64],
-        abandon: &mut dyn FnMut(f64) -> bool,
+        target: SenseChoice,
+        mut bound: Option<Bound<'_>>,
     ) -> Option<f64> {
-        debug_assert_eq!(suffix.len(), self.entries.len() + 1);
+        if let Some((suffix, _)) = &bound {
+            debug_assert_eq!(suffix.len(), self.entries.len() + 1);
+        }
+        let mut memo_row = self.memo.map(|memo| memo.row(target));
         let mut total = 0.0f64;
         for (i, e) in self.entries.iter().enumerate() {
-            let best = self.max_sim_with(sn, sim, e, score_of);
-            total += best * e.weight;
-            if i + 1 < self.entries.len() {
-                let bound = ((total + suffix[i + 1]) / self.cardinality as f64).min(1.0);
-                if abandon(bound) {
-                    return None;
+            let evidence = match (memo_row.as_deref_mut(), e.label) {
+                (Some(row), Some(label)) => *row[label.index()]
+                    .get_or_insert_with(|| entry_evidence(sn, sim, &e.senses, target)),
+                _ => entry_evidence(sn, sim, &e.senses, target),
+            };
+            total += evidence * e.weight;
+            if let Some((suffix, abandon)) = bound.as_mut() {
+                if i + 1 < self.entries.len() {
+                    let ub = ((total + suffix[i + 1]) / self.cardinality as f64).min(1.0);
+                    if abandon(ub) {
+                        return None;
+                    }
                 }
             }
         }
         Some((total / self.cardinality as f64).clamp(0.0, 1.0))
     }
 
-    /// [`ConceptContext::score_single`] with branch-and-bound abandonment
-    /// ([`crate::prune`] level (a)): returns `None` if `abandon` accepted
-    /// a running upper bound, the exact Definition 8 score otherwise.
-    pub fn score_single_bounded<C: SimilarityCache>(
+    /// `Concept_Score(s_p, S_d(x), S̄N)` of Definition 8: [`Self::score`]
+    /// of one candidate, unbounded.
+    pub fn score_single<C: SimilarityCache>(
         &self,
         sn: &SemanticNetwork,
         sim: &CombinedSimilarity<C>,
         candidate: ConceptId,
-        suffix: &[f64],
-        abandon: &mut dyn FnMut(f64) -> bool,
-    ) -> Option<f64> {
-        self.score_bounded_with(
-            sn,
-            sim,
-            &|sn, sim, s| sim.similarity(sn, candidate, s),
-            suffix,
-            abandon,
-        )
-    }
-
-    /// [`ConceptContext::score_pair`] with branch-and-bound abandonment —
-    /// the Equation 10 compound-target analogue of
-    /// [`ConceptContext::score_single_bounded`].
-    pub fn score_pair_bounded<C: SimilarityCache>(
-        &self,
-        sn: &SemanticNetwork,
-        sim: &CombinedSimilarity<C>,
-        first: ConceptId,
-        second: ConceptId,
-        suffix: &[f64],
-        abandon: &mut dyn FnMut(f64) -> bool,
-    ) -> Option<f64> {
-        self.score_bounded_with(
-            sn,
-            sim,
-            &|sn, sim, s| (sim.similarity(sn, first, s) + sim.similarity(sn, second, s)) / 2.0,
-            suffix,
-            abandon,
-        )
+    ) -> f64 {
+        self.score(sn, sim, SenseChoice::Single(candidate), None)
+            // invariant: without a bound nothing can abandon the candidate
+            .expect("unbounded scoring always completes")
     }
 }
 
@@ -412,8 +425,12 @@ mod tests {
         let target = find(&t, "star picture");
         let ctx = ConceptContext::build(sn, &t, target, 2);
         let sim = CombinedSimilarity::default();
-        let coherent = ctx.score_pair(sn, &sim, id("star.performer"), id("film.movie"));
-        let incoherent = ctx.score_pair(sn, &sim, id("star.celestial"), id("picture.mental"));
+        let pair = |a: &str, b: &str| {
+            ctx.score(sn, &sim, SenseChoice::Pair(id(a), id(b)), None)
+                .unwrap()
+        };
+        let coherent = pair("star.performer", "film.movie");
+        let incoherent = pair("star.celestial", "picture.mental");
         assert!(coherent > incoherent, "{coherent} <= {incoherent}");
     }
 
@@ -464,7 +481,12 @@ mod tests {
         for key in ["cast.actors", "cast.mold", "cast.throw"] {
             let plain = ctx.score_single(sn, &sim, id(key));
             let bounded = ctx
-                .score_single_bounded(sn, &sim, id(key), &suffix, &mut |_| false)
+                .score(
+                    sn,
+                    &sim,
+                    SenseChoice::Single(id(key)),
+                    Some((&suffix, &mut |_| false)),
+                )
                 .unwrap();
             // Bit-identical, not just approximately equal: the pruned
             // path must reuse the exact summation of the unpruned one.
@@ -480,16 +502,10 @@ mod tests {
         let ctx = ConceptContext::build(sn, &t, target, 2);
         let sim = CombinedSimilarity::default();
         let suffix = ctx.suffix_weight_sums();
-        let plain = ctx.score_pair(sn, &sim, id("star.performer"), id("film.movie"));
+        let target = SenseChoice::Pair(id("star.performer"), id("film.movie"));
+        let plain = ctx.score(sn, &sim, target, None).unwrap();
         let bounded = ctx
-            .score_pair_bounded(
-                sn,
-                &sim,
-                id("star.performer"),
-                id("film.movie"),
-                &suffix,
-                &mut |_| false,
-            )
+            .score(sn, &sim, target, Some((&suffix, &mut |_| false)))
             .unwrap();
         assert_eq!(plain.to_bits(), bounded.to_bits());
     }
@@ -509,10 +525,16 @@ mod tests {
         // Every running bound offered to the closure must dominate the
         // final score (soundness of the branch-and-bound invariant).
         let mut bounds = Vec::new();
-        let result = ctx.score_single_bounded(sn, &sim, candidate, &suffix, &mut |b| {
+        let mut record = |b: f64| {
             bounds.push(b);
             false
-        });
+        };
+        let result = ctx.score(
+            sn,
+            &sim,
+            SenseChoice::Single(candidate),
+            Some((&suffix, &mut record)),
+        );
         assert_eq!(result.unwrap().to_bits(), score.to_bits());
         assert!(!bounds.is_empty());
         for b in &bounds {
@@ -521,12 +543,63 @@ mod tests {
         }
         // An always-abandon closure stops on the first bound.
         let mut calls = 0;
-        let pruned = ctx.score_single_bounded(sn, &sim, candidate, &suffix, &mut |_| {
+        let mut abandon = |_: f64| {
             calls += 1;
             true
-        });
+        };
+        let pruned = ctx.score(
+            sn,
+            &sim,
+            SenseChoice::Single(candidate),
+            Some((&suffix, &mut abandon)),
+        );
         assert_eq!(pruned, None);
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn document_scope_scores_are_bit_identical_to_standalone_contexts() {
+        // Lent sense lists and memoized evidence must reproduce a
+        // standalone context's scores exactly, on a cold memo (first pass)
+        // and a warm one (second pass), for single and pair targets.
+        let t = tree(
+            "<films><picture title=\"Rear Window\"><cast><star>Stewart</star><star>Kelly</star></cast><star_picture/><plot>spies</plot></picture></films>",
+        );
+        let sn = mini_wordnet();
+        let sim = CombinedSimilarity::default();
+        let labels = LabelTable::new(sn, &t);
+        let memo = EvidenceMemo::new(labels.len());
+        let mut pairs = 0;
+        for _pass in 0..2 {
+            for node in t.preorder() {
+                let standalone = ConceptContext::build(sn, &t, node, 2);
+                let scoped = ConceptContext::build_in(
+                    &labels,
+                    &memo,
+                    &t,
+                    node,
+                    2,
+                    DistancePolicy::EdgeCount,
+                );
+                let targets: Vec<SenseChoice> = match labels.candidates(node) {
+                    SenseCandidates::Unknown => Vec::new(),
+                    SenseCandidates::Single(senses) => {
+                        senses.iter().map(|&c| SenseChoice::Single(c)).collect()
+                    }
+                    SenseCandidates::Compound { first, second } => first
+                        .iter()
+                        .flat_map(|&a| second.iter().map(move |&b| SenseChoice::Pair(a, b)))
+                        .collect(),
+                };
+                for target in targets {
+                    pairs += usize::from(matches!(target, SenseChoice::Pair(..)));
+                    let a = standalone.score(sn, &sim, target, None).unwrap();
+                    let b = scoped.score(sn, &sim, target, None).unwrap();
+                    assert_eq!(a.to_bits(), b.to_bits(), "{}: {target:?}", t.label(node));
+                }
+            }
+        }
+        assert!(pairs > 0, "the compound target must be scored");
     }
 
     #[test]

@@ -8,14 +8,14 @@ use xmltree::tree::{ContentMode, TreeBuilder};
 use xmltree::{NodeId, ParseError, SemanticTree, XmlTree};
 
 use crate::ambiguity::{select_targets, NodeAmbiguity};
-use crate::concept_based::ConceptContext;
+use crate::concept_based::{ConceptContext, EvidenceMemo};
 use crate::config::XsdfConfig;
 use crate::context_based::ContextVectorScorer;
 use crate::guard::{Guard, GuardError};
-use crate::senses::{disambiguation_candidates, LingTokenizer, SenseCandidates};
+use crate::senses::{LabelTable, LingTokenizer, SenseCandidates};
 
 /// The sense (or sense pair, for compound labels) chosen for a target node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SenseChoice {
     /// One concept for a single-token label.
     Single(ConceptId),
@@ -237,31 +237,33 @@ impl<'sn> Xsdf<'sn> {
 
         let mut semantic_tree = SemanticTree::new(tree.clone());
         let mut reports = Vec::with_capacity(tree.len());
+        // Label-level work is done once per document: each distinct
+        // (label, kind) is resolved once, and each context entry's
+        // evidence once per candidate (DESIGN.md, "Label table and
+        // evidence memo"). Both are dropped with the document.
+        let labels = LabelTable::new(self.sn, tree);
+        let scope = DocumentScope {
+            memo: EvidenceMemo::new(labels.len()),
+            labels,
+        };
 
         for na in ambiguities {
             guard.check_deadline()?;
             let node = na.node;
-            let label = tree.label(node).to_string();
-            let candidates = disambiguation_candidates(self.sn, &label, tree.node(node).kind);
+            let candidates = scope.labels.candidates(node);
             let candidate_count = candidates.candidate_count();
             let mut report = NodeReport {
                 node,
-                label,
+                label: tree.label(node).to_string(),
                 ambiguity: na.degree,
                 selected: na.selected,
                 candidates: candidate_count,
                 chosen: None,
             };
             if na.selected && candidate_count > 0 {
-                if let Some((choice, score)) = self.score_candidates(
-                    tree,
-                    node,
-                    &candidates,
-                    sim,
-                    w_concept,
-                    w_context,
-                    guard,
-                )? {
+                if let Some((choice, score)) =
+                    self.score_candidates(tree, node, &scope, sim, (w_concept, w_context), guard)?
+                {
                     // Annotation gate (accepted deviation, see DESIGN.md):
                     // a multi-candidate winner must score *strictly* above
                     // `min_score` — a score exactly at the threshold
@@ -305,23 +307,30 @@ impl<'sn> Xsdf<'sn> {
     /// beat the leader, stopping the whole loop once the leader is
     /// uncatchable. Level (a) is provably result-identical: survivors
     /// reuse the bit-exact arithmetic of the unpruned scorers.
-    #[allow(clippy::too_many_arguments)]
     fn score_candidates<C: SimilarityCache>(
         &self,
         tree: &XmlTree,
         node: NodeId,
-        candidates: &SenseCandidates,
+        scope: &DocumentScope,
         sim: &CombinedSimilarity<C>,
-        w_concept: f64,
-        w_context: f64,
+        (w_concept, w_context): (f64, f64),
         guard: &Guard,
     ) -> Result<Option<(SenseChoice, f64)>, GuardError> {
+        let candidates = scope.labels.candidates(node);
         let radius = self.config.radius;
         let prune = self.config.prune;
+        let concept_context = || {
+            ConceptContext::build_in(
+                &scope.labels,
+                &scope.memo,
+                tree,
+                node,
+                radius,
+                self.config.distance,
+            )
+        };
         // Build each scorer lazily: pure processes need only one of them.
-        let concept_ctx = (w_concept > 0.0).then(|| {
-            ConceptContext::build_with_policy(self.sn, tree, node, radius, self.config.distance)
-        });
+        let concept_ctx = (w_concept > 0.0).then(concept_context);
         let context_scorer = (w_context > 0.0).then(|| {
             ContextVectorScorer::build(tree, node, radius)
                 .with_measure(self.config.vector_similarity)
@@ -360,21 +369,12 @@ impl<'sn> Xsdf<'sn> {
         let single_k = min_opt(density_k, budget_k);
         let pair_k = min_opt(density_k, budget_k.map(|b| (b / 2).max(1)));
         let density_senses = (single_k.is_some() || pair_k.is_some()).then(|| {
+            // A pure context-based process builds a screen-only concept
+            // context for its sense inventory.
             concept_ctx
                 .as_ref()
                 .map(ConceptContext::context_senses)
-                .unwrap_or_else(|| {
-                    // Pure context-based process: build a screen-only
-                    // concept context for its sense inventory.
-                    ConceptContext::build_with_policy(
-                        self.sn,
-                        tree,
-                        node,
-                        radius,
-                        self.config.distance,
-                    )
-                    .context_senses()
-                })
+                .unwrap_or_else(|| concept_context().context_senses())
         });
         let screen = |senses: &[ConceptId], k: usize, ctx_senses: &[ConceptId]| -> Vec<ConceptId> {
             let mask = crate::prune::density_keep_mask(self.sn, senses, ctx_senses, k);
@@ -386,41 +386,28 @@ impl<'sn> Xsdf<'sn> {
                 .collect()
         };
 
-        // Combined Equation 13 scorers. The context score is computed
+        // The combined Equation 13 scorer. The context score is computed
         // first (it is a single whole-vector comparison — nothing to
         // abandon incrementally), then the concept score entry by entry
         // under the running bound. `None` means the candidate was
         // abandoned: its true score provably cannot strictly beat
         // `leader`. Survivor arithmetic is identical to the unpruned path.
-        let score_single = |s: ConceptId, leader: Option<f64>| -> Option<f64> {
-            let x = context_scorer
-                .as_ref()
-                .map_or(0.0, |cs| cs.score_single_cached(self.sn, s, sim.cache()));
-            let c = match (concept_ctx.as_ref(), suffix.as_deref()) {
-                (Some(ctx), Some(sfx)) => {
+        let score = |choice: SenseChoice, leader: Option<f64>| -> Option<f64> {
+            let x = context_scorer.as_ref().map_or(0.0, |cs| match choice {
+                SenseChoice::Single(s) => cs.score_single_cached(self.sn, s, sim.cache()),
+                SenseChoice::Pair(a, b) => cs.score_pair(self.sn, a, b),
+            });
+            let c = match &concept_ctx {
+                Some(ctx) => {
                     let mut abandon = |ub: f64| {
                         leader.is_some_and(|l| w_concept * ub + w_context * x + slack <= l)
                     };
-                    ctx.score_single_bounded(self.sn, sim, s, sfx, &mut abandon)?
+                    let bound = suffix
+                        .as_deref()
+                        .map(|sfx| (sfx, &mut abandon as &mut dyn FnMut(f64) -> bool));
+                    ctx.score(self.sn, sim, choice, bound)?
                 }
-                (Some(ctx), None) => ctx.score_single(self.sn, sim, s),
-                (None, _) => 0.0,
-            };
-            Some(w_concept * c + w_context * x)
-        };
-        let score_pair = |a: ConceptId, b: ConceptId, leader: Option<f64>| -> Option<f64> {
-            let x = context_scorer
-                .as_ref()
-                .map_or(0.0, |cs| cs.score_pair(self.sn, a, b));
-            let c = match (concept_ctx.as_ref(), suffix.as_deref()) {
-                (Some(ctx), Some(sfx)) => {
-                    let mut abandon = |ub: f64| {
-                        leader.is_some_and(|l| w_concept * ub + w_context * x + slack <= l)
-                    };
-                    ctx.score_pair_bounded(self.sn, sim, a, b, sfx, &mut abandon)?
-                }
-                (Some(ctx), None) => ctx.score_pair(self.sn, sim, a, b),
-                (None, _) => 0.0,
+                None => 0.0,
             };
             Some(w_concept * c + w_context * x)
         };
@@ -450,7 +437,7 @@ impl<'sn> Xsdf<'sn> {
                     }
                 }
                 guard.tick_sense_pair()?;
-                match score_single(s, best.map(|(_, b)| b)) {
+                match score(SenseChoice::Single(s), best.map(|(_, b)| b)) {
                     Some(score) => {
                         if best.is_none_or(|(_, b)| score > b) {
                             best = Some((SenseChoice::Single(s), score));
@@ -506,7 +493,7 @@ impl<'sn> Xsdf<'sn> {
                         // A compound pair evaluates both token senses
                         // against the context: two budget units.
                         guard.tick_sense_pairs(2)?;
-                        match score_pair(a, b, best.map(|(_, bst)| bst)) {
+                        match score(SenseChoice::Pair(a, b), best.map(|(_, bst)| bst)) {
                             Some(score) => {
                                 if best.is_none_or(|(_, bst)| score > bst) {
                                     best = Some((SenseChoice::Pair(a, b), score));
@@ -608,6 +595,13 @@ impl<'sn> Xsdf<'sn> {
     }
 }
 
+/// The label-level state one `disambiguate_selected_guarded` call shares
+/// across its targets.
+struct DocumentScope<'t> {
+    labels: LabelTable<'t>,
+    memo: EvidenceMemo,
+}
+
 /// Minimum of two optional caps, where `None` means "uncapped".
 fn min_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
     match (a, b) {
@@ -621,6 +615,7 @@ fn min_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::config::{DisambiguationProcess, ThresholdPolicy};
+    use crate::senses::disambiguation_candidates;
     use semnet::mini_wordnet;
 
     const FIGURE1_DOC1: &str = r#"<films>

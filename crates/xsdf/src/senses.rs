@@ -2,9 +2,13 @@
 //! concepts in the semantic network, and the linguistically aware tokenizer
 //! that builds XML trees with pre-processed labels (Section 3.2).
 
+use std::cell::OnceCell;
+use std::collections::HashMap;
+
 use lingproc::{porter_stem, LabelKind, Preprocessor};
 use semnet::{ConceptId, SemanticNetwork};
 use xmltree::tree::ValueTokenizer;
+use xmltree::{NodeId, NodeKind, XmlTree};
 
 /// The candidate senses of one node label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,10 +88,10 @@ pub fn candidates_for_label(sn: &SemanticNetwork, label: &str) -> SenseCandidate
 pub fn disambiguation_candidates(
     sn: &SemanticNetwork,
     label: &str,
-    kind: xmltree::NodeKind,
+    kind: NodeKind,
 ) -> SenseCandidates {
     let all = candidates_for_label(sn, label);
-    if kind == xmltree::NodeKind::ValueToken {
+    if kind == NodeKind::ValueToken {
         return all;
     }
     let keep_nouns = |senses: Vec<ConceptId>| -> Vec<ConceptId> {
@@ -109,6 +113,77 @@ pub fn disambiguation_candidates(
             first: keep_nouns(first),
             second: keep_nouns(second),
         },
+    }
+}
+
+/// Index of a distinct `(label, node kind)` in a [`LabelTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct LabelId(u32);
+
+impl LabelId {
+    /// The id as an index into per-label tables.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One document's label table: [`disambiguation_candidates`] resolved
+/// once per distinct `(label, node kind)`, on first use, and lent by
+/// reference to target candidates and concept-context entries. Building
+/// it hashes each node's label once.
+pub(crate) struct LabelTable<'t> {
+    sn: &'t SemanticNetwork,
+    tree: &'t XmlTree,
+    /// Label id of every node, by preorder index.
+    node_labels: Vec<LabelId>,
+    /// Per label id: the first node carrying it, and its candidates once
+    /// resolved.
+    labels: Vec<(NodeId, OnceCell<SenseCandidates>)>,
+}
+
+impl<'t> LabelTable<'t> {
+    /// Assigns every node of `tree` its label id.
+    pub(crate) fn new(sn: &'t SemanticNetwork, tree: &'t XmlTree) -> Self {
+        let mut ids: HashMap<(&str, NodeKind), LabelId> = HashMap::new();
+        let mut labels = Vec::new();
+        let node_labels = tree
+            .preorder()
+            .map(|node| {
+                *ids.entry((tree.label(node), tree.node(node).kind))
+                    .or_insert_with(|| {
+                        labels.push((node, OnceCell::new()));
+                        LabelId(labels.len() as u32 - 1)
+                    })
+            })
+            .collect();
+        Self {
+            sn,
+            tree,
+            node_labels,
+            labels,
+        }
+    }
+
+    /// Number of distinct `(label, node kind)` pairs in the document.
+    pub(crate) fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// The label id of `node`.
+    pub(crate) fn label_id(&self, node: NodeId) -> LabelId {
+        self.node_labels[node.index()]
+    }
+
+    /// The disambiguation candidates of `node`'s label and kind.
+    pub(crate) fn candidates(&self, node: NodeId) -> &SenseCandidates {
+        let (first, resolved) = &self.labels[self.label_id(node).index()];
+        resolved.get_or_init(|| {
+            disambiguation_candidates(
+                self.sn,
+                self.tree.label(*first),
+                self.tree.node(*first).kind,
+            )
+        })
     }
 }
 
