@@ -41,8 +41,8 @@ fn batch_xml(min_docs: usize) -> Vec<String> {
 
 /// A deliberately polysemous batch: every label is a multi-sense
 /// mini-WordNet word (cast/star/track/picture plus a compound), so
-/// candidate lists are as wide as the network allows and the exact
-/// pruner (`--prune exact`) has leaders to defend. The generated corpus
+/// candidate lists are as wide as the network allows and the scoring
+/// loop's exact early exit has leaders to defend. The generated corpus
 /// above mixes in unambiguous structure; this one measures pruning where
 /// it matters.
 fn polysemous_xml(min_docs: usize) -> Vec<String> {
@@ -59,73 +59,6 @@ fn polysemous_xml(min_docs: usize) -> Vec<String> {
         .cycle()
         .take(min_docs.max(templates.len()))
         .collect()
-}
-
-/// A synthetic hyper-polysemous workload: one target word with 48
-/// readings in a hand-built network, in a context whose every label is a
-/// synonym of the intended reading. MiniWordNet tops out at ~5 senses
-/// per word, where candidate lists are too short for the exact pruner's
-/// bound to bite; real lexicons (WordNet: dozens of senses) are the
-/// regime it is designed for, and this workload reproduces it. The
-/// intended reading is scored first (highest frequency) and scores the
-/// theoretical maximum (every context entry carries it as a sense, so
-/// `sim = 1` per entry); every decoy's running bound then falls below
-/// the leader after one entry and the other ~7 evaluations are skipped.
-fn hyper_polysemous() -> (semnet::SemanticNetwork, &'static str) {
-    use semnet::{NetworkBuilder, PartOfSpeech};
-    const CONTEXT: [&str; 8] = [
-        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
-    ];
-    let mut b = NetworkBuilder::new();
-    b.concept(
-        "entity.n",
-        &["entity"],
-        "the root of the synthetic taxonomy",
-        50,
-        PartOfSpeech::Noun,
-    );
-    // The intended reading: "blob" plus every context label as lemmas.
-    let mut hub_lemmas = vec!["blob"];
-    hub_lemmas.extend(CONTEXT);
-    b.noun(
-        "hub.n",
-        &hub_lemmas,
-        "the hub reading every context synonym points at",
-        100,
-        "entity.n",
-    );
-    b.noun(
-        "noise.n",
-        &["noiseword"],
-        "the decoy parent away from the hub",
-        1,
-        "entity.n",
-    );
-    // Each context label also has one unique low-frequency reading, so a
-    // decoy's per-entry similarity is a fresh pair, not a cache hit.
-    for name in CONTEXT {
-        b.noun(
-            &format!("{name}_alt.n"),
-            &[name],
-            &format!("an alternative reading of {name} unrelated to the hub"),
-            1,
-            "noise.n",
-        );
-    }
-    for i in 0..47 {
-        b.noun(
-            &format!("decoy{i}.n"),
-            &["blob"],
-            &format!("unrelated decoy reading number {i} about nothing relevant"),
-            1,
-            "noise.n",
-        );
-    }
-    let sn = b.build().expect("synthetic network is well-formed");
-    (
-        sn,
-        "<blob><alpha/><beta/><gamma/><delta/><epsilon/><zeta/><eta/><theta/></blob>",
-    )
 }
 
 /// A WordNet-scale synthetic network: `n` noun concepts under one root in
@@ -251,9 +184,9 @@ fn main() {
     });
     eprintln!("  runtime_{cores}_threads (warm) {warm_ms:10.3} ms");
 
-    // Exact pruning (level (a)) vs no pruning, cold, one thread, over
-    // the polysemous batch. Every document gets a *fresh* engine: the
-    // pruner saves similarity evaluations, and a warm shared cache hides
+    // The scoring loop's exact early exit, cold, one thread, over the
+    // polysemous batch. Every document gets a *fresh* engine: the early
+    // exit saves similarity evaluations, and a warm shared cache hides
     // exactly that work (a cycled batch would run warm from document 5
     // on and dilute the measurement ~8x).
     let poly_sources = polysemous_xml(4);
@@ -261,24 +194,13 @@ fn main() {
     // Radius 3: the widest spheres the conformance sweep covers, so each
     // candidate carries the most context entries and an abandoned
     // candidate forfeits the most work.
-    let unpruned_config = XsdfConfig {
+    let pruned_config = XsdfConfig {
         radius: 3,
         ..XsdfConfig::default()
     };
-    let pruned_config = XsdfConfig {
-        prune: xsdf::PruningConfig::exact(),
-        ..unpruned_config.clone()
-    };
     // The per-iteration wall clock here is a few ms, so scheduler noise
-    // swamps a 7-sample median; triple the samples for this comparison.
+    // swamps a 7-sample median; triple the samples for this timing.
     let prune_iters = iters * 3;
-    let unpruned_cold_ms = median_ms(warmup, prune_iters, || {
-        for doc in &poly_docs {
-            let engine = BatchEngine::new(sn, unpruned_config.clone()).threads(1);
-            black_box(engine.run(&[*doc]));
-        }
-    });
-    eprintln!("  polysemous unpruned (cold) {unpruned_cold_ms:7.3} ms");
     let pruned_cold_ms = median_ms(warmup, prune_iters, || {
         for doc in &poly_docs {
             let engine = BatchEngine::new(sn, pruned_config.clone()).threads(1);
@@ -286,90 +208,47 @@ fn main() {
         }
     });
     eprintln!("  polysemous pruned   (cold) {pruned_cold_ms:7.3} ms");
-    // Level (b) at K=2 — the approximate screen, for the
-    // exactness-vs-speed table in EXPERIMENTS.md.
-    let topk_config = XsdfConfig {
-        prune: xsdf::PruningConfig::parse("topk:2").expect("valid spec"),
-        ..unpruned_config.clone()
-    };
-    let topk2_cold_ms = median_ms(warmup, prune_iters, || {
-        for doc in &poly_docs {
-            let engine = BatchEngine::new(sn, topk_config.clone()).threads(1);
-            black_box(engine.run(&[*doc]));
-        }
-    });
-    eprintln!("  polysemous topk:2   (cold) {topk2_cold_ms:7.3} ms");
     let pruned_report = BatchEngine::new(sn, pruned_config)
         .threads(1)
         .run(&poly_docs);
     let candidates_pruned = pruned_report.metrics.candidates_pruned;
-    let early_exits = pruned_report.metrics.early_exits;
     assert!(
         candidates_pruned > 0,
-        "exact pruning must fire on the polysemous batch"
+        "the exact early exit must fire on the polysemous batch"
     );
     eprintln!("  candidates_pruned          {candidates_pruned:7}");
-    eprintln!("  early_exits                {early_exits:7}");
 
-    // The exact pruner targets the dimension mini-WordNet cannot
-    // produce: wide candidate lists (see `hyper_polysemous`). A 48-way
-    // ambiguous target measures level (a) in the regime it is designed
-    // for; fresh engines per run keep the saved similarity evaluations
-    // from hiding in a warm cache, and each timed sample batches
-    // several runs so it is not sub-millisecond.
-    let (hyper_sn, hyper_doc) = hyper_polysemous();
+    // The early exit targets the dimension mini-WordNet cannot produce:
+    // wide candidate lists. A 48-way ambiguous target
+    // (`corpus::pathological::hyper_polysemous_network`) measures it in
+    // the regime it is designed for; fresh engines per run keep the
+    // saved similarity evaluations from hiding in a warm cache, and each
+    // timed sample batches several runs so it is not sub-millisecond.
+    let (hyper_sn, hyper_doc) = corpus::pathological::hyper_polysemous_network();
     // Threshold 0.2 selects only the 48-way target (polysemy factor 1.0)
-    // and leaves the two-sense context labels (factor ~1/47) unselected
-    // on BOTH sides, so the comparison isolates the wide candidate list
-    // instead of diluting it with identical context-target work.
-    let hyper_base_config = XsdfConfig {
+    // and leaves the two-sense context labels (factor ~1/47) unselected,
+    // so the timing isolates the wide candidate list.
+    let hyper_config = XsdfConfig {
         threshold: xsdf::ThresholdPolicy::Fixed(0.2),
         ..XsdfConfig::default()
     };
-    let hyper_pruned_config = XsdfConfig {
-        prune: xsdf::PruningConfig::exact(),
-        ..hyper_base_config.clone()
-    };
     let hyper_reps = 20;
-    let hyper_unpruned_cold_ms = median_ms(warmup, prune_iters, || {
-        for _ in 0..hyper_reps {
-            let engine = BatchEngine::new(&hyper_sn, hyper_base_config.clone()).threads(1);
-            black_box(engine.run(&[hyper_doc]));
-        }
-    });
-    eprintln!("  hyper-polysemous unpruned (cold) {hyper_unpruned_cold_ms:7.3} ms");
     let hyper_pruned_cold_ms = median_ms(warmup, prune_iters, || {
         for _ in 0..hyper_reps {
-            let engine = BatchEngine::new(&hyper_sn, hyper_pruned_config.clone()).threads(1);
+            let engine = BatchEngine::new(&hyper_sn, hyper_config.clone()).threads(1);
             black_box(engine.run(&[hyper_doc]));
         }
     });
     eprintln!("  hyper-polysemous pruned   (cold) {hyper_pruned_cold_ms:7.3} ms");
-    let hyper_report = BatchEngine::new(&hyper_sn, hyper_pruned_config)
+    let hyper_report = BatchEngine::new(&hyper_sn, hyper_config)
         .threads(1)
         .run(&[hyper_doc]);
     let hyper_candidates_pruned = hyper_report.metrics.candidates_pruned;
     assert!(
         hyper_candidates_pruned > 0,
-        "exact pruning must fire on the hyper-polysemous document"
+        "the exact early exit must fire on the hyper-polysemous document"
     );
     eprintln!("  hyper candidates_pruned          {hyper_candidates_pruned:7}");
-    // Level (a) exactness spot check on the synthetic network too: the
-    // conformance sweep proves it over mini-WordNet; this keeps the
-    // speedup we report here provably free.
-    let hyper_plain_report = BatchEngine::new(&hyper_sn, hyper_base_config)
-        .threads(1)
-        .run(&[hyper_doc]);
-    let want = hyper_plain_report.results[0].as_ref().expect("doc parses");
-    let got = hyper_report.results[0].as_ref().expect("doc parses");
-    assert_eq!(want.reports.len(), got.reports.len());
-    for (a, b) in want.reports.iter().zip(&got.reports) {
-        assert_eq!(
-            a.chosen.map(|(s, f)| (s, f.to_bits())),
-            b.chosen.map(|(s, f)| (s, f.to_bits())),
-            "exact pruning must not change the hyper-polysemous result"
-        );
-    }
 
     // Per-document latency distribution: one instrumented cold 1-thread
     // run, read off the engine's always-on latency histograms.
@@ -445,23 +324,10 @@ fn main() {
             json_f64(BEFORE_COLD_1_THREAD_MS / cold_1_thread_ms),
         ),
         ("speedup_warm", json_f64(BEFORE_WARM_MS / warm_ms)),
-        ("unpruned_cold_ms", json_f64(unpruned_cold_ms)),
         ("pruned_cold_ms", json_f64(pruned_cold_ms)),
-        (
-            "speedup_pruned",
-            json_f64(unpruned_cold_ms / pruned_cold_ms),
-        ),
-        ("topk2_cold_ms", json_f64(topk2_cold_ms)),
-        ("speedup_topk2", json_f64(unpruned_cold_ms / topk2_cold_ms)),
         ("candidates_pruned", candidates_pruned.to_string()),
-        ("early_exits", early_exits.to_string()),
         ("hyper_polysemy", "48".to_string()),
-        ("hyper_unpruned_cold_ms", json_f64(hyper_unpruned_cold_ms)),
         ("hyper_pruned_cold_ms", json_f64(hyper_pruned_cold_ms)),
-        (
-            "speedup_hyper_pruned",
-            json_f64(hyper_unpruned_cold_ms / hyper_pruned_cold_ms),
-        ),
         (
             "hyper_candidates_pruned",
             hyper_candidates_pruned.to_string(),

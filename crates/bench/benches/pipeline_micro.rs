@@ -124,27 +124,6 @@ fn end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-fn batch_parallelism(c: &mut Criterion) {
-    let sn = semnet::mini_wordnet();
-    let xsdf = Xsdf::new(sn, XsdfConfig::default());
-    let docs: Vec<xmltree::Document> = (0..8)
-        .map(|i| {
-            let d = corpus::gen::generate_document(sn, corpus::DatasetId::Imdb, i, 7);
-            xmltree::parse(&xmltree::serialize::to_string_compact(&d.doc)).unwrap()
-        })
-        .collect();
-    let trees: Vec<_> = docs.iter().map(|d| xsdf.build_tree(d)).collect();
-    let refs: Vec<&xmltree::XmlTree> = trees.iter().collect();
-    let mut group = c.benchmark_group("batch_parallelism");
-    group.sample_size(20);
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| black_box(xsdf.disambiguate_batch(&refs, threads)))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     parsing,
@@ -152,7 +131,6 @@ criterion_group!(
     ambiguity_scoring,
     sphere_and_vectors,
     similarity_measures,
-    end_to_end,
-    batch_parallelism
+    end_to_end
 );
 criterion_main!(benches);

@@ -62,22 +62,6 @@ pub fn network() -> &'static SemanticNetwork {
     })
 }
 
-/// The pruning configuration the sweep's *optimized* side runs under,
-/// from `XSDF_CONFORMANCE_PRUNE` (a [`xsdf::PruningConfig::parse`]
-/// spec; unset or empty means off). The reference side never prunes, so
-/// setting this to `exact` turns every differential check into an
-/// exactness proof for pruning level (a): the pruned pipeline must
-/// still match the naive full-formula oracle bit-for-bit (within the
-/// sweep's documented float tolerance). An invalid spec panics — a
-/// typo'd CI variable must not silently run the unpruned sweep twice.
-pub fn prune() -> xsdf::PruningConfig {
-    match std::env::var("XSDF_CONFORMANCE_PRUNE") {
-        Ok(spec) if !spec.is_empty() => xsdf::PruningConfig::parse(&spec)
-            .unwrap_or_else(|e| panic!("bad XSDF_CONFORMANCE_PRUNE={spec:?}: {e}")),
-        _ => xsdf::PruningConfig::off(),
-    }
-}
-
 /// One document of the differential sweep with its cycling parameters.
 pub struct DocCase {
     /// Where the document came from (seed, dataset, index — or the
@@ -96,16 +80,15 @@ pub struct DocCase {
 }
 
 impl DocCase {
-    /// The pipeline configuration this case runs under. Includes the
-    /// [`prune`] setting, so an `XSDF_CONFORMANCE_PRUNE=exact` sweep
-    /// proves pruning level (a) result-identical against the unpruned
-    /// reference.
+    /// The pipeline configuration this case runs under. The pipeline's
+    /// scoring loop always runs the exact early exit and the reference
+    /// never prunes, so every differential check is also an exactness
+    /// check of the early exit.
     pub fn config(&self) -> XsdfConfig {
         XsdfConfig {
             radius: self.radius,
             vector_similarity: self.measure,
             process: self.process,
-            prune: prune(),
             ..XsdfConfig::default()
         }
     }
@@ -173,12 +156,11 @@ pub fn cases(sn: &SemanticNetwork) -> Vec<DocCase> {
         });
     }
     eprintln!(
-        "conformance sweep: {} documents (seeds {:?}, quick={}, prune={:?}) — rerun with \
+        "conformance sweep: {} documents (seeds {:?}, quick={}) — rerun with \
          XSDF_CONFORMANCE_QUICK={} to reproduce",
         out.len(),
         seeds(),
         quick(),
-        prune(),
         u8::from(quick()),
     );
     out

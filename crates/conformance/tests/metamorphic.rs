@@ -6,7 +6,6 @@
 use conformance::harness::network;
 use semsim::{CombinedSimilarity, LocalCache};
 use xmltree::serialize::to_string_compact;
-use xmltree::XmlTree;
 use xsdf::config::VectorSimilarity;
 use xsdf::sphere::{xml_context_vector, xml_sphere};
 use xsdf::{DisambiguationResult, Xsdf};
@@ -78,18 +77,25 @@ fn batch_thread_counts_are_bitwise_identical() {
     let sn = network();
     let all = cases(sn);
     let subset = nucleus(&all, 5);
+    let sources: Vec<String> = subset.iter().map(|c| to_string_compact(&c.doc)).collect();
+    let docs: Vec<&str> = sources.iter().map(String::as_str).collect();
     // One config for the whole batch (batch runs share a pipeline).
-    let xsdf = Xsdf::new(sn, subset[0].config());
-    let trees: Vec<XmlTree> = subset.iter().map(|c| xsdf.build_tree(&c.doc)).collect();
-    let tree_refs: Vec<&XmlTree> = trees.iter().collect();
-    let one = xsdf.disambiguate_batch(&tree_refs, 1);
-    let two = xsdf.disambiguate_batch(&tree_refs, 2);
-    let eight = xsdf.disambiguate_batch(&tree_refs, 8);
+    let run = |threads: usize| {
+        runtime::BatchEngine::new(sn, subset[0].config())
+            .threads(threads)
+            .run(&docs)
+            .results
+    };
+    let one = run(1);
     assert_eq!(one.len(), subset.len());
-    for (i, case) in subset.iter().enumerate() {
-        let ctx = case.context();
-        assert_results_identical(&one[i], &two[i], &format!("{ctx} threads 1 vs 2"));
-        assert_results_identical(&one[i], &eight[i], &format!("{ctx} threads 1 vs 8"));
+    for threads in [2usize, 8] {
+        for ((case, want), got) in subset.iter().zip(&one).zip(&run(threads)) {
+            assert_results_identical(
+                want.as_ref().expect("conformance case parses"),
+                got.as_ref().expect("conformance case parses"),
+                &format!("{} threads 1 vs {threads}", case.context()),
+            );
+        }
     }
 }
 

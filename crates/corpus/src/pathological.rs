@@ -82,6 +82,74 @@ pub fn hyper_polysemous(repeats: usize) -> String {
     xml
 }
 
+/// A hand-built network with one 48-way ambiguous word, and a document
+/// whose root is that word. MiniWordNet tops out at ~5 senses per word;
+/// real lexicons (WordNet: dozens) are the regime where the scoring
+/// loop's exact early exit abandons most candidates, and this pair
+/// reproduces it. The intended reading of `blob` is listed first
+/// (highest frequency) and carries every context label as a lemma, so
+/// it gathers evidence from every context entry; each of the 47 decoys
+/// has a running bound below that leader after one entry. Each context
+/// label also has one unrelated low-frequency reading, so a decoy's
+/// per-entry similarity is a fresh pair rather than a cache hit.
+///
+/// Run at an ambiguity threshold of 0.2, only `blob` is selected: its
+/// polysemy factor is 1 and the two-sense context labels score ~1/47.
+pub fn hyper_polysemous_network() -> (semnet::SemanticNetwork, &'static str) {
+    use semnet::{NetworkBuilder, PartOfSpeech};
+    const CONTEXT: [&str; 8] = [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+    ];
+    let mut b = NetworkBuilder::new();
+    b.concept(
+        "entity.n",
+        &["entity"],
+        "the root of the synthetic taxonomy",
+        50,
+        PartOfSpeech::Noun,
+    );
+    // The intended reading: "blob" plus every context label as lemmas.
+    let mut hub_lemmas = vec!["blob"];
+    hub_lemmas.extend(CONTEXT);
+    b.noun(
+        "hub.n",
+        &hub_lemmas,
+        "the hub reading every context synonym points at",
+        100,
+        "entity.n",
+    );
+    b.noun(
+        "noise.n",
+        &["noiseword"],
+        "the decoy parent away from the hub",
+        1,
+        "entity.n",
+    );
+    for name in CONTEXT {
+        b.noun(
+            &format!("{name}_alt.n"),
+            &[name],
+            &format!("an alternative reading of {name} unrelated to the hub"),
+            1,
+            "noise.n",
+        );
+    }
+    for i in 0..47 {
+        b.noun(
+            &format!("decoy{i}.n"),
+            &["blob"],
+            &format!("unrelated decoy reading number {i} about nothing relevant"),
+            1,
+            "noise.n",
+        );
+    }
+    let sn = b.build().expect("synthetic network is well-formed");
+    (
+        sn,
+        "<blob><alpha/><beta/><gamma/><delta/><epsilon/><zeta/><eta/><theta/></blob>",
+    )
+}
+
 /// The standard pathological document set for cross-crate harnesses (the
 /// conformance differential suite in particular): one or two
 /// representatives per hostility axis, each paired with a stable name for

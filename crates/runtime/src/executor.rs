@@ -53,7 +53,6 @@ struct WorkerStats {
     vectors_built: u64,
     vectors_reused: u64,
     candidates_pruned: u64,
-    early_exits: u64,
 }
 
 impl WorkerStats {
@@ -71,7 +70,6 @@ impl WorkerStats {
         self.vectors_built += other.vectors_built;
         self.vectors_reused += other.vectors_reused;
         self.candidates_pruned += other.candidates_pruned;
-        self.early_exits += other.early_exits;
     }
 
     /// Reads the per-run kernel/cache tallies off a worker's measure once
@@ -132,12 +130,9 @@ pub struct DocOutcome {
     pub vectors_built: u64,
     /// Context vectors served from the shared vector table.
     pub vectors_reused: u64,
-    /// Candidate evaluations skipped by the pruner (zero unless
-    /// [`xsdf::PruningConfig`] is enabled in the pipeline configuration).
+    /// Candidates the scoring loop's exact early exit abandoned mid-scan
+    /// (`xsdf::prune`).
     pub candidates_pruned: u64,
-    /// Candidate loops the pruner stopped early because the leader was
-    /// already uncatchable.
-    pub early_exits: u64,
 }
 
 /// A reusable parallel batch-disambiguation engine with panic isolation,
@@ -389,7 +384,6 @@ impl<'sn> BatchEngine<'sn> {
             vectors_reused: totals.vectors_reused,
             vector_entries: self.cache.vectors_len(),
             candidates_pruned: totals.candidates_pruned,
-            early_exits: totals.early_exits,
         };
         BatchReport {
             results,
@@ -426,7 +420,6 @@ impl<'sn> BatchEngine<'sn> {
             vectors_built: stats.vectors_built,
             vectors_reused: stats.vectors_reused,
             candidates_pruned: stats.candidates_pruned,
-            early_exits: stats.early_exits,
         }
     }
 
@@ -530,7 +523,6 @@ impl<'sn> BatchEngine<'sn> {
         let outcome = self.process_stages(xml, epoch, sim, stats, marks, &guard);
         marks.sense_pairs = guard.pairs_scored();
         stats.candidates_pruned += guard.candidates_pruned();
-        stats.early_exits += guard.early_exits();
         outcome
     }
 
@@ -816,28 +808,16 @@ mod tests {
 
     #[test]
     fn pruning_counters_reach_batch_metrics_and_doc_outcomes() {
-        let pruned_cfg = XsdfConfig {
-            prune: xsdf::PruningConfig::exact(),
-            ..XsdfConfig::default()
-        };
-        let engine = BatchEngine::new(mini_wordnet(), pruned_cfg).threads(1);
+        let engine = BatchEngine::new(mini_wordnet(), XsdfConfig::default()).threads(1);
         let report = engine.run(&[DOC]);
         assert!(report.results[0].is_ok());
         assert!(
             report.metrics.candidates_pruned > 0,
-            "exact pruning on a polysemous document must skip candidates"
+            "the exact early exit must abandon candidates on a polysemous document"
         );
         let outcome = engine.process_document_observed(DOC);
         assert!(outcome.result.is_ok());
-        assert!(outcome.candidates_pruned > 0);
-        // With pruning off (the default) both counters stay zero.
-        let plain = BatchEngine::new(mini_wordnet(), XsdfConfig::default());
-        let outcome = plain.process_document_observed(DOC);
-        assert_eq!(outcome.candidates_pruned, 0);
-        assert_eq!(outcome.early_exits, 0);
-        let report = plain.run(&[DOC]);
-        assert_eq!(report.metrics.candidates_pruned, 0);
-        assert_eq!(report.metrics.early_exits, 0);
+        assert_eq!(outcome.candidates_pruned, report.metrics.candidates_pruned);
     }
 
     #[test]

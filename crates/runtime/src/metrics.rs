@@ -176,14 +176,10 @@ pub struct MetricsSnapshot {
     pub vectors_reused: u64,
     /// Distinct concept context vectors cached at the end of the run.
     pub vector_entries: usize,
-    /// Candidate senses (or compound sense pairs) skipped by pruning —
-    /// density-screened, abandoned mid-scoring by the exact bound, or
-    /// skipped by a loop early exit (`xsdf::prune`). 0 when pruning is
-    /// off.
+    /// Candidate senses (or compound sense pairs) the scoring loop's
+    /// exact early exit abandoned mid-scan (`xsdf::prune`): each provably
+    /// could not beat its target's leader.
     pub candidates_pruned: u64,
-    /// Scoring loops stopped early because the leader was mathematically
-    /// uncatchable (`xsdf::prune` level (a)). 0 when pruning is off.
-    pub early_exits: u64,
 }
 
 impl MetricsSnapshot {
@@ -222,7 +218,6 @@ impl MetricsSnapshot {
         self.vectors_reused += other.vectors_reused;
         self.vector_entries += other.vector_entries;
         self.candidates_pruned += other.candidates_pruned;
-        self.early_exits += other.early_exits;
     }
 
     /// *Successful* documents processed per wall-clock second — failed
@@ -306,7 +301,6 @@ impl MetricsSnapshot {
             ("vectors_reused", self.vectors_reused.to_string()),
             ("vector_entries", self.vector_entries.to_string()),
             ("candidates_pruned", self.candidates_pruned.to_string()),
-            ("early_exits", self.early_exits.to_string()),
         ] {
             field(key, value);
         }
@@ -398,7 +392,6 @@ mod tests {
             vectors_reused: 48,
             vector_entries: 12,
             candidates_pruned: 7,
-            early_exits: 2,
         }
     }
 
@@ -457,7 +450,6 @@ mod tests {
             "vectors_reused",
             "vector_entries",
             "candidates_pruned",
-            "early_exits",
         ] {
             assert!(
                 json.contains(&format!("\"{key}\":")),

@@ -24,7 +24,7 @@ use crate::metrics::{FailureCounts, MetricsSnapshot, StageLatency, StageTimings}
 /// The header line every report starts with; bump the version when the
 /// field set changes so a parent never merges a report written by a
 /// different binary layout.
-const HEADER: &str = "xsdf-shard-report v1";
+const HEADER: &str = "xsdf-shard-report v2";
 
 /// One worker process's complete metrics, as shipped to the merging
 /// parent.
@@ -82,7 +82,6 @@ impl ShardReport {
         let _ = writeln!(out, "vectors_reused {}", m.vectors_reused);
         let _ = writeln!(out, "vector_entries {}", m.vector_entries);
         let _ = writeln!(out, "candidates_pruned {}", m.candidates_pruned);
-        let _ = writeln!(out, "early_exits {}", m.early_exits);
         let _ = writeln!(out, "hist_parse {}", m.latency.parse.encode());
         let _ = writeln!(out, "hist_preprocess {}", m.latency.preprocess.encode());
         let _ = writeln!(out, "hist_select {}", m.latency.select.encode());
@@ -184,7 +183,6 @@ impl ShardReport {
             vectors_reused: num!("vectors_reused"),
             vector_entries: num!("vector_entries"),
             candidates_pruned: num!("candidates_pruned"),
-            early_exits: num!("early_exits"),
         };
         if let Some(at) = used.iter().position(|&u| !u) {
             return Err(format!("unknown shard report key: {}", fields[at].0));
@@ -248,7 +246,6 @@ mod tests {
             vectors_reused: 9,
             vector_entries: 2,
             candidates_pruned: 1,
-            early_exits: 0,
         }
     }
 
@@ -282,7 +279,6 @@ mod tests {
             vectors_reused: 0,
             vector_entries: 0,
             candidates_pruned: 0,
-            early_exits: 0,
         });
         assert_eq!(ShardReport::from_text(&zero.to_text()).unwrap(), zero);
     }

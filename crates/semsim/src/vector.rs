@@ -67,7 +67,7 @@ impl SparseVector {
         self.coords.is_empty()
     }
 
-    /// Estimated heap footprint of this vector in bytes, for byte-budgeted
+    /// Estimated heap footprint of this vector in bytes, for byte-bounded
     /// caches. Counts each coordinate's label buffer plus a flat
     /// per-entry allowance for the `String` header, the weight, and the
     /// amortized B-tree node overhead. An estimate, not an allocator

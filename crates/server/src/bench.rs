@@ -32,7 +32,7 @@
 //! replaying a fixed set — while a sampler thread
 //! polls `GET /metrics` (and, when self-hosted, `/proc/self/status` RSS)
 //! on an interval. The sample series goes into `BENCH_soak.json`, which
-//! is how the repo proves a budgeted cache holds `cache_bytes ≤ budget`
+//! is how the repo proves a byte-bounded cache holds `cache_bytes ≤ budget`
 //! for an entire sustained run while RSS stays flat.
 
 use std::net::TcpStream;

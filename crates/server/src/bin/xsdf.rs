@@ -89,9 +89,6 @@ OPTIONS:
     --process <p>         concept | context | combined          [default: concept]
     --threshold <t>       auto | a float in [0,1]               [default: 0]
     --structure-only      ignore element/attribute text values
-    --prune <spec>        candidate pruning: off | exact | topk:<K> |
-                          budget | slack:<x> (comma-separated; topk/
-                          budget/slack imply exact)              [default: off]
     --quiet               suppress the per-node report
 
 GEN-CORPUS OPTIONS:
@@ -151,7 +148,7 @@ SERVE OPTIONS (plus the shared pipeline + resource + cache options above):
     --mem-hard <N>        hard watermark: shed /disambiguate with 503 +
                           Retry-After until pressure clears (0 = off)
                                                                  [default: 0]
-    Endpoints: POST /disambiguate?radius=&process=&measure=&threshold=&structure=&prune=
+    Endpoints: POST /disambiguate?radius=&process=&measure=&threshold=&structure=
                GET /metrics | GET /healthz | POST /shutdown
     Shutdown:  POST /shutdown or Ctrl-C drains (in-flight requests finish);
                a second Ctrl-C aborts immediately (exit 130).
@@ -181,27 +178,86 @@ EXIT CODES (batch):
        as failures; metrics/trace files are still written)
     1  all documents failed, or the invocation itself was invalid";
 
-/// Simple flag parser: returns (positional args, flag lookup).
+/// Flags that take no value.
+const SWITCHES: &[&str] = &[
+    "--structure-only",
+    "--quiet",
+    "--annotate",
+    "--keep-going",
+    "--fail-fast",
+    "--soak",
+];
+
+/// Flags that take one value. `--shard-out` is internal: the sharded
+/// batch driver passes it to its child processes.
+const VALUED: &[&str] = &[
+    "--addr",
+    "--cache-bytes",
+    "--cache-entries",
+    "--connections",
+    "--count",
+    "--deadline-ms",
+    "--duration-ms",
+    "--export",
+    "--max-bytes",
+    "--max-connections",
+    "--max-depth",
+    "--max-nodes",
+    "--mem-hard",
+    "--mem-soft",
+    "--metrics",
+    "--network",
+    "--out",
+    "--process",
+    "--query",
+    "--queue",
+    "--radius",
+    "--requests",
+    "--sample-ms",
+    "--seed",
+    "--shard-out",
+    "--shards",
+    "--slow-ms",
+    "--start",
+    "--threads",
+    "--threshold",
+    "--trace",
+    "--trace-jsonl",
+    "--warmup-ms",
+    "--wndb",
+];
+
+/// A subcommand's arguments: positionals plus `--flag [value]` pairs.
 struct Flags<'a> {
     args: &'a [String],
 }
 
 impl<'a> Flags<'a> {
+    /// Wraps `args`, rejecting any `--flag` no subcommand reads, so a typo
+    /// or a retired option is a usage error instead of a silent no-op.
+    fn new(args: &'a [String]) -> Result<Self, String> {
+        let mut i = 0;
+        while i < args.len() {
+            let a = args[i].as_str();
+            if a.starts_with("--") {
+                if VALUED.contains(&a) {
+                    i += 1; // skip the flag's value
+                } else if !SWITCHES.contains(&a) {
+                    return Err(format!("unknown flag {a:?} (see `xsdf help`)"));
+                }
+            }
+            i += 1;
+        }
+        Ok(Self { args })
+    }
+
     fn positional(&self) -> Vec<&'a str> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < self.args.len() {
             let a = &self.args[i];
             if a.starts_with("--") {
-                if !matches!(
-                    a.as_str(),
-                    "--structure-only"
-                        | "--quiet"
-                        | "--annotate"
-                        | "--keep-going"
-                        | "--fail-fast"
-                        | "--soak"
-                ) {
+                if !SWITCHES.contains(&a.as_str()) {
                     i += 1; // skip the flag's value
                 }
             } else {
@@ -218,6 +274,17 @@ impl<'a> Flags<'a> {
             .position(|a| a == name)
             .and_then(|i| self.args.get(i + 1))
             .map(String::as_str)
+    }
+
+    /// The flag's value parsed as `T`, or `None` when the flag is absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.value(name) {
+            None => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad {name} value {v:?}")),
+        }
     }
 
     fn has(&self, name: &str) -> bool {
@@ -291,35 +358,22 @@ fn build_config(flags: &Flags) -> Result<XsdfConfig, String> {
     if flags.has("--structure-only") {
         config.structure_and_content = false;
     }
-    if let Some(spec) = flags.value("--prune") {
-        config.prune = xsdf::PruningConfig::parse(spec)
-            .map_err(|e| format!("bad --prune value {spec:?}: {e}"))?;
-    }
     Ok(config)
 }
 
 /// Parses the shared resource-limit flags into engine settings.
 fn build_limits(flags: &Flags) -> Result<(ResourceLimits, Option<Duration>), String> {
-    fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
-        match flags.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
     let mut limits = ResourceLimits::unlimited();
-    if let Some(max) = parsed(flags, "--max-bytes")? {
+    if let Some(max) = flags.parsed("--max-bytes")? {
         limits = limits.max_bytes(max);
     }
-    if let Some(max) = parsed(flags, "--max-nodes")? {
+    if let Some(max) = flags.parsed("--max-nodes")? {
         limits = limits.max_nodes(max);
     }
-    if let Some(max) = parsed(flags, "--max-depth")? {
+    if let Some(max) = flags.parsed("--max-depth")? {
         limits = limits.max_depth(max);
     }
-    let deadline = parsed(flags, "--deadline-ms")?.map(Duration::from_millis);
+    let deadline = flags.parsed("--deadline-ms")?.map(Duration::from_millis);
     Ok((limits, deadline))
 }
 
@@ -380,7 +434,7 @@ fn read_doc(flags: &Flags, limits: &ResourceLimits) -> Result<(String, String), 
 }
 
 fn cmd_disambiguate(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let (limits, deadline) = build_limits(&flags)?;
     let (path, xml) = read_doc(&flags, &limits)?;
     let network = load_network(&flags)?;
@@ -418,7 +472,7 @@ fn cmd_disambiguate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     if let Some(n) = flags.value("--shards") {
         let shards: usize = n.parse().map_err(|_| format!("bad --shards value {n:?}"))?;
         if shards == 0 {
@@ -611,17 +665,7 @@ fn shard_passthrough(args: &[String]) -> Vec<String> {
     while i < args.len() {
         let a = &args[i];
         if a.starts_with("--") {
-            // Keep in sync with the boolean-flag list in
-            // `Flags::positional`.
-            let boolean = matches!(
-                a.as_str(),
-                "--structure-only"
-                    | "--quiet"
-                    | "--annotate"
-                    | "--keep-going"
-                    | "--fail-fast"
-                    | "--soak"
-            );
+            let boolean = SWITCHES.contains(&a.as_str());
             let drop = matches!(a.as_str(), "--shards" | "--metrics" | "--quiet");
             if !drop {
                 out.push(a.clone());
@@ -764,20 +808,11 @@ fn cmd_batch_sharded(flags: &Flags, shards: usize) -> Result<ExitCode, String> {
 /// `--count 1000000` works in constant memory; `--start` resumes
 /// mid-stream for incremental or sharded materialization.
 fn cmd_gen_corpus(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
-    fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
-        match flags.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
+    let flags = Flags::new(args)?;
     let out = flags.value("--out").ok_or("missing --out <dir>")?;
-    let count: u64 = parsed(&flags, "--count")?.unwrap_or(100);
-    let seed: u64 = parsed(&flags, "--seed")?.unwrap_or(42);
-    let start: u64 = parsed(&flags, "--start")?.unwrap_or(0);
+    let count: u64 = flags.parsed("--count")?.unwrap_or(100);
+    let seed: u64 = flags.parsed("--seed")?.unwrap_or(42);
+    let start: u64 = flags.parsed("--start")?.unwrap_or(0);
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let sn = semnet::mini_wordnet();
     let mut bytes_total = 0u64;
@@ -818,7 +853,7 @@ fn print_slow_docs(trace: &runtime::Trace, files: &[&str], threshold: Duration) 
 }
 
 fn cmd_ambiguity(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let (path, xml) = read_doc(&flags, &ResourceLimits::unlimited())?;
     let network = load_network(&flags)?;
     let sn = network.get();
@@ -845,7 +880,7 @@ fn cmd_ambiguity(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_network(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let network = load_network(&flags)?;
     let sn = network.get();
     if let Some(path) = flags.value("--export") {
@@ -868,7 +903,7 @@ fn cmd_network(args: &[String]) -> Result<ExitCode, String> {
 /// MiniWordNet, forces its scoring artifacts, and writes the compiled
 /// snapshot the `--network` flag can then cold-start from.
 fn cmd_compile_network(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let out_path = flags.value("--out").ok_or("missing --out <file>")?;
     let inputs = flags.positional();
     let sn = match (flags.value("--wndb"), inputs.first()) {
@@ -920,7 +955,7 @@ fn cmd_compile_network(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_import_wndb(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let inputs = flags.positional();
     if inputs.is_empty() {
         return Err("missing WNDB data files (e.g. data.noun)".into());
@@ -956,29 +991,14 @@ fn cmd_import_wndb(args: &[String]) -> Result<ExitCode, String> {
 /// Parses the shared `--cache-entries` / `--cache-bytes` budget flags
 /// (0 = unbounded, the historical behavior).
 fn build_cache_budget(flags: &Flags) -> Result<CacheBudget, String> {
-    fn parsed(flags: &Flags, name: &str) -> Result<usize, String> {
-        match flags.value(name) {
-            None => Ok(0),
-            Some(v) => v.parse().map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
     Ok(CacheBudget {
-        max_entries: parsed(flags, "--cache-entries")?,
-        max_bytes: parsed(flags, "--cache-bytes")?,
+        max_entries: flags.parsed("--cache-entries")?.unwrap_or(0),
+        max_bytes: flags.parsed("--cache-bytes")?.unwrap_or(0),
     })
 }
 
 /// Parses the serve/bench flags shared with [`ServerConfig`].
 fn build_server_config(flags: &Flags) -> Result<ServerConfig, String> {
-    fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
-        match flags.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
     let base = build_config(flags)?;
     let (limits, deadline) = build_limits(flags)?;
     let mut config = ServerConfig {
@@ -990,32 +1010,32 @@ fn build_server_config(flags: &Flags) -> Result<ServerConfig, String> {
     if let Some(addr) = flags.value("--addr") {
         config.addr = addr.to_string();
     }
-    if let Some(workers) = parsed(flags, "--threads")? {
+    if let Some(workers) = flags.parsed("--threads")? {
         config.workers = workers;
     }
-    if let Some(queue) = parsed(flags, "--queue")? {
+    if let Some(queue) = flags.parsed("--queue")? {
         config.queue = queue;
     }
-    if let Some(max) = parsed(flags, "--max-connections")? {
+    if let Some(max) = flags.parsed("--max-connections")? {
         config.max_connections = max;
     }
     // Mirror the engine's byte ceiling to the HTTP layer, so oversized
     // uploads are refused from the Content-Length alone (413 before the
     // body is read) instead of after buffering.
-    config.max_body = parsed(flags, "--max-bytes")?;
-    config.slow = parsed(flags, "--slow-ms")?.map(Duration::from_millis);
+    config.max_body = flags.parsed("--max-bytes")?;
+    config.slow = flags.parsed("--slow-ms")?.map(Duration::from_millis);
     config.cache_budget = build_cache_budget(flags)?;
-    if let Some(soft) = parsed(flags, "--mem-soft")? {
+    if let Some(soft) = flags.parsed("--mem-soft")? {
         config.mem_soft = soft;
     }
-    if let Some(hard) = parsed(flags, "--mem-hard")? {
+    if let Some(hard) = flags.parsed("--mem-hard")? {
         config.mem_hard = hard;
     }
     Ok(config)
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let network = load_network(&flags)?;
     let config = build_server_config(&flags)?;
     let bind_addr = config.addr.clone();
@@ -1060,16 +1080,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
-    fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
-        match flags.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
+    let flags = Flags::new(args)?;
     let quick = std::env::var_os("XSDF_BENCH_QUICK").is_some();
     if flags.has("--soak") {
         return cmd_soak(&flags, quick);
@@ -1077,10 +1088,12 @@ fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, String> {
     let (default_warmup_ms, default_duration_ms) = if quick { (300, 700) } else { (3000, 10_000) };
     let mut bench = BenchConfig {
         addr: String::new(),
-        connections: parsed(&flags, "--connections")?.unwrap_or(2),
-        warmup: Duration::from_millis(parsed(&flags, "--warmup-ms")?.unwrap_or(default_warmup_ms)),
+        connections: flags.parsed("--connections")?.unwrap_or(2),
+        warmup: Duration::from_millis(flags.parsed("--warmup-ms")?.unwrap_or(default_warmup_ms)),
         duration: Duration::from_millis(
-            parsed(&flags, "--duration-ms")?.unwrap_or(default_duration_ms),
+            flags
+                .parsed("--duration-ms")?
+                .unwrap_or(default_duration_ms),
         ),
         query: flags.value("--query").unwrap_or("").to_string(),
     };
@@ -1139,22 +1152,13 @@ fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, String> {
 /// `xsdf bench-serve --soak`: fixed request count over a streaming
 /// corpus with a `/metrics` gauge sampler, written as `BENCH_soak.json`.
 fn cmd_soak(flags: &Flags, quick: bool) -> Result<ExitCode, String> {
-    fn parsed<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
-        match flags.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad {name} value {v:?}")),
-        }
-    }
     let (default_requests, default_sample_ms) = if quick { (300, 100) } else { (5000, 500) };
     let mut soak = SoakConfig {
         addr: String::new(),
-        connections: parsed(flags, "--connections")?.unwrap_or(2),
-        requests: parsed(flags, "--requests")?.unwrap_or(default_requests),
+        connections: flags.parsed("--connections")?.unwrap_or(2),
+        requests: flags.parsed("--requests")?.unwrap_or(default_requests),
         sample_every: Duration::from_millis(
-            parsed(flags, "--sample-ms")?.unwrap_or(default_sample_ms),
+            flags.parsed("--sample-ms")?.unwrap_or(default_sample_ms),
         ),
         query: flags.value("--query").unwrap_or("").to_string(),
         rss_self: false,
@@ -1224,7 +1228,7 @@ fn cmd_soak(flags: &Flags, quick: bool) -> Result<ExitCode, String> {
 }
 
 fn cmd_senses(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags { args };
+    let flags = Flags::new(args)?;
     let positional = flags.positional();
     let word = positional
         .first()

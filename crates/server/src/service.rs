@@ -813,10 +813,6 @@ fn request_config(base: &XsdfConfig, request: &Request) -> Result<XsdfConfig, St
                     other => return Err(format!("bad structure value {other:?}")),
                 };
             }
-            "prune" => {
-                config.prune = xsdf::PruningConfig::parse(value)
-                    .map_err(|e| format!("bad prune value {value:?}: {e}"))?;
-            }
             other => return Err(format!("unknown query parameter {other:?}")),
         }
     }
@@ -852,7 +848,6 @@ mod tests {
                 ("measure", "jaccard"),
                 ("threshold", "auto"),
                 ("structure", "only"),
-                ("prune", "topk:4,slack:0.05"),
             ]),
         )
         .unwrap();
@@ -864,9 +859,6 @@ mod tests {
         assert_eq!(config.vector_similarity, VectorSimilarity::Jaccard);
         assert!(matches!(config.threshold, ThresholdPolicy::Auto));
         assert!(!config.structure_and_content);
-        assert!(config.prune.early_exit);
-        assert_eq!(config.prune.density_top_k, 4);
-        assert!((config.prune.bound_slack - 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -878,9 +870,8 @@ mod tests {
             [("measure", "manhattan")],
             [("threshold", "1.5")],
             [("structure", "both")],
-            [("prune", "topk:0")],
-            [("prune", "aggressive")],
-            [("raduis", "2")], // typo must not silently pass
+            [("prune", "exact")], // the scoring loop is always exact
+            [("raduis", "2")],    // typo must not silently pass
         ] {
             assert!(
                 request_config(&base, &req_with_query(&query)).is_err(),

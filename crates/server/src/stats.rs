@@ -52,11 +52,8 @@ pub struct ServerStats {
     pub vectors_built: u64,
     /// Context vectors reused from the shared table, summed.
     pub vectors_reused: u64,
-    /// Candidate evaluations skipped by the pruner, summed (zero unless
-    /// requests enable `prune=`).
+    /// Candidates the scoring loop's exact early exit abandoned, summed.
     pub candidates_pruned: u64,
-    /// Candidate loops the pruner stopped early, summed.
-    pub early_exits: u64,
     /// End-to-end `/disambiguate` latency (queue wait + engine).
     pub ep_disambiguate: Histogram,
     /// `GET /metrics` latency.
@@ -99,7 +96,6 @@ impl ServerStats {
             vectors_built: 0,
             vectors_reused: 0,
             candidates_pruned: 0,
-            early_exits: 0,
             ep_disambiguate: Histogram::new(),
             ep_metrics: Histogram::new(),
             ep_healthz: Histogram::new(),
@@ -131,7 +127,6 @@ impl ServerStats {
         self.vectors_built += outcome.vectors_built;
         self.vectors_reused += outcome.vectors_reused;
         self.candidates_pruned += outcome.candidates_pruned;
-        self.early_exits += outcome.early_exits;
         if let Err(e) = &outcome.result {
             self.failures.record(e);
         }
@@ -193,7 +188,6 @@ impl ServerStats {
             vectors_reused: self.vectors_reused,
             vector_entries: cache.vectors_len(),
             candidates_pruned: self.candidates_pruned,
-            early_exits: self.early_exits,
         }
     }
 
@@ -299,18 +293,15 @@ mod tests {
         assert!(snap.stages.total() > Duration::ZERO);
         assert_eq!(stats.ep_disambiguate.count(), 2);
         assert_eq!(stats.queue_wait.count(), 2);
-        // Pruning was off for both requests, so the summed counters are 0.
-        assert_eq!(snap.candidates_pruned, 0);
-        assert_eq!(snap.early_exits, 0);
+        assert_eq!(
+            snap.candidates_pruned,
+            ok.candidates_pruned + bad.candidates_pruned
+        );
     }
 
     #[test]
     fn pruned_outcomes_surface_in_snapshot() {
-        let cfg = XsdfConfig {
-            prune: xsdf::PruningConfig::exact(),
-            ..XsdfConfig::default()
-        };
-        let pruned = BatchEngine::new(semnet::mini_wordnet(), cfg)
+        let pruned = BatchEngine::new(semnet::mini_wordnet(), XsdfConfig::default())
             .threads(1)
             .tracing(true)
             .process_document_observed(
@@ -322,7 +313,6 @@ mod tests {
         let snap = stats.snapshot(1, &SharedCache::new());
         assert!(snap.candidates_pruned > 0, "pruned request must be counted");
         assert_eq!(snap.candidates_pruned, pruned.candidates_pruned);
-        assert_eq!(snap.early_exits, pruned.early_exits);
     }
 
     #[test]
@@ -353,7 +343,6 @@ mod tests {
             "endpoint_healthz_p50_ms",
             "queue_wait_max_ms",
             "candidates_pruned",
-            "early_exits",
             "http_200",
             "http_429",
         ] {

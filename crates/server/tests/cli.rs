@@ -502,6 +502,30 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    let doc = write_temp("unknown-flag.xml", "<cast><star>Kelly</star></cast>");
+    for (command, flag, value) in [
+        ("batch", "--prune", "exact"),
+        ("batch", "--max-sense-pairs", "5"),
+        ("disambiguate", "--radus", "2"),
+    ] {
+        let output = xsdf()
+            .arg(command)
+            .arg(&doc)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{command} {flag}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\"")),
+            "{flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag} must not run the command");
+    }
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let output = xsdf()
         .args(["disambiguate", "/nonexistent/file.xml"])

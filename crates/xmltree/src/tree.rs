@@ -292,6 +292,8 @@ pub struct XmlTree {
     links: Vec<(NodeId, NodeId)>,
     /// `Max(depth(T))` of Proposition 2, set by [`XmlTree::finish`].
     max_depth: u32,
+    /// `Max(fan-out(T))`, set by [`XmlTree::finish`].
+    max_fan_out: usize,
     /// `Max(f̄an-out(T))` of Proposition 3, set by [`XmlTree::finish`].
     max_density: usize,
 }
@@ -312,6 +314,7 @@ impl XmlTree {
             nodes,
             links: Vec::new(),
             max_depth: 0,
+            max_fan_out: 0,
             max_density: 0,
         }
     }
@@ -365,11 +368,18 @@ impl XmlTree {
     }
 
     /// Computes the per-tree maxima of Propositions 2 and 3 once, so
-    /// [`XmlTree::max_depth`] and [`XmlTree::max_density`] are O(1) and a
-    /// whole-tree ambiguity pass stays linear.
+    /// [`XmlTree::max_depth`], [`XmlTree::max_fan_out`] and
+    /// [`XmlTree::max_density`] are O(1) and a whole-tree ambiguity or
+    /// structure pass stays linear.
     fn finish(&mut self) {
         debug_assert!(self.check_consistency().is_ok(), "inconsistent tree");
         self.max_depth = self.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
+        self.max_fan_out = self
+            .nodes
+            .iter()
+            .map(|n| n.children.len())
+            .max()
+            .unwrap_or(0);
         self.max_density = self
             .preorder()
             .map(|id| self.density(id))
@@ -481,13 +491,10 @@ impl XmlTree {
         self.max_depth
     }
 
-    /// Maximum fan-out over all nodes, `Max(fan-out(T))`.
+    /// Maximum fan-out over all nodes, `Max(fan-out(T))`. Computed once
+    /// when the tree is built.
     pub fn max_fan_out(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.children.len())
-            .max()
-            .unwrap_or(0)
+        self.max_fan_out
     }
 
     /// Maximum density over all nodes, `Max(f̄an-out(T))` of Proposition 3.

@@ -84,6 +84,7 @@ proptest! {
         let renamed = tree.relabeled(|l| format!("{l}_x"));
         for t in [&tree, &merged, &renamed] {
             let depth = t.preorder().map(|id| t.depth(id)).max().unwrap_or(0);
+            let fan_out = t.preorder().map(|id| t.children(id).len()).max().unwrap_or(0);
             let density = t
                 .preorder()
                 .map(|id| {
@@ -94,6 +95,7 @@ proptest! {
                 .max()
                 .unwrap_or(0);
             prop_assert_eq!(t.max_depth(), depth);
+            prop_assert_eq!(t.max_fan_out(), fan_out);
             prop_assert_eq!(t.max_density(), density);
         }
     }

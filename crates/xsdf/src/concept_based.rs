@@ -23,9 +23,7 @@ use xmltree::{NodeId, XmlTree};
 
 use crate::pipeline::SenseChoice;
 use crate::senses::{disambiguation_candidates, LabelId, LabelTable, SenseCandidates};
-use crate::sphere::{
-    xml_context_vector, xml_context_vector_weighted, xml_sphere, xml_sphere_weighted,
-};
+use crate::sphere::{assemble_xml_context_vector, xml_context_vector, xml_sphere_factors};
 use xmltree::distance::DistancePolicy;
 
 /// One document's memo of context-entry evidence ([`entry_evidence`]).
@@ -171,26 +169,18 @@ impl<'t> ConceptContext<'t> {
         memo: Option<&'t EvidenceMemo>,
         mut resolve: impl FnMut(NodeId) -> (Cow<'t, SenseCandidates>, Option<LabelId>),
     ) -> Self {
-        let nodes: Vec<NodeId> = if policy == DistancePolicy::EdgeCount {
-            xml_sphere(tree, target, radius)
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect()
-        } else {
-            xml_sphere_weighted(tree, target, radius, policy)
-                .into_iter()
-                .map(|(n, _)| n)
-                .collect()
-        };
-        let vector = xml_context_vector_weighted(tree, target, radius, policy);
+        // One sphere walk yields both the context nodes and the Definition
+        // 6–7 vector that weights them.
+        let sphere = xml_sphere_factors(tree, target, radius, policy);
+        let vector = assemble_xml_context_vector(tree, target, radius, &sphere);
         // |S_d(x)| of Definition 8 counts the center (Definition 5's ring
         // R_0 = {x}) plus all context nodes — the same convention the
         // context vectors pin with Figure 7's V_1. Counting only the
         // context nodes here (the pre-PR 5 behavior) inflated every score
         // by (n+1)/n relative to the definitions.
-        let cardinality = nodes.len() + 1;
-        let mut entries = Vec::with_capacity(nodes.len());
-        for node in nodes {
+        let cardinality = sphere.len() + 1;
+        let mut entries = Vec::with_capacity(sphere.len());
+        for (node, _) in sphere {
             let (senses, label) = resolve(node);
             if *senses != SenseCandidates::Unknown {
                 entries.push(ContextEntry {
@@ -237,41 +227,12 @@ impl<'t> ConceptContext<'t> {
         suffix
     }
 
-    /// The largest concept score *any* candidate can reach in this
-    /// context: `min(1, Σ_i w_i / |S_d(x)|)`, since each entry's max
-    /// similarity is at most 1. Drives the global early exit of
-    /// [`crate::prune`] level (a).
-    pub fn max_concept_score(&self) -> f64 {
-        let total: f64 = self.entries.iter().map(|e| e.weight).sum();
-        (total / self.cardinality as f64).min(1.0)
-    }
-
-    /// All candidate senses of all context labels (compound sides
-    /// included), sorted and deduplicated — the evidence set the density
-    /// pre-score of [`crate::prune`] screens candidates against.
-    pub fn context_senses(&self) -> Vec<ConceptId> {
-        let mut senses: Vec<ConceptId> = Vec::new();
-        for e in &self.entries {
-            match e.senses.as_ref() {
-                SenseCandidates::Unknown => {}
-                SenseCandidates::Single(s) => senses.extend_from_slice(s),
-                SenseCandidates::Compound { first, second } => {
-                    senses.extend_from_slice(first);
-                    senses.extend_from_slice(second);
-                }
-            }
-        }
-        senses.sort_unstable();
-        senses.dedup();
-        senses
-    }
-
     /// `Concept_Score` of Definition 8 for a single candidate, or of
     /// Equation 10 for a compound target's sense pair (each context
     /// comparison averages the similarities of the two target token
     /// senses).
     ///
-    /// With a `bound` ([`crate::prune`] level (a)), after each entry the
+    /// With a `bound` ([`crate::prune`]), after each entry the
     /// running upper bound `min(1, (partial + suffix[i + 1]) / |S_d(x)|)`
     /// on the final score is offered to the abandonment test; `true` stops
     /// the candidate with `None`. The bound is never offered after the
@@ -488,8 +449,8 @@ mod tests {
                     Some((&suffix, &mut |_| false)),
                 )
                 .unwrap();
-            // Bit-identical, not just approximately equal: the pruned
-            // path must reuse the exact summation of the unpruned one.
+            // Bit-identical, not just approximately equal: the bounded
+            // path must reuse the exact summation of the unbounded one.
             assert_eq!(plain.to_bits(), bounded.to_bits(), "{key}");
         }
     }
@@ -539,7 +500,7 @@ mod tests {
         assert!(!bounds.is_empty());
         for b in &bounds {
             assert!(*b >= score, "bound {b} < final score {score}");
-            assert!(*b <= ctx.max_concept_score() + 1e-12);
+            assert!(*b <= (suffix[0] / ctx.cardinality() as f64).min(1.0) + 1e-12);
         }
         // An always-abandon closure stops on the first bound.
         let mut calls = 0;
@@ -600,20 +561,6 @@ mod tests {
             }
         }
         assert!(pairs > 0, "the compound target must be scored");
-    }
-
-    #[test]
-    fn context_senses_cover_both_compound_sides() {
-        let t = tree("<films><star_picture/><cast/></films>");
-        let sn = mini_wordnet();
-        let target = find(&t, "cast");
-        let ctx = ConceptContext::build(sn, &t, target, 2);
-        let senses = ctx.context_senses();
-        // Sorted, deduplicated, and containing senses of both "star" and
-        // "picture" (the compound sides) plus "films".
-        assert!(senses.windows(2).all(|w| w[0] < w[1]));
-        assert!(senses.contains(&id("star.performer")));
-        assert!(senses.contains(&id("picture.image")));
     }
 
     #[test]

@@ -205,10 +205,6 @@ pub struct XsdfConfig {
     /// disambiguation contexts from trees into graphs (the paper's
     /// "trees (or graphs, when hyperlinks come to play)", Section 1).
     pub resolve_hyperlinks: bool,
-    /// Candidate-space pruning for the scoring loop (off by default; see
-    /// [`crate::prune`] for the three levels and their exactness
-    /// guarantees).
-    pub prune: crate::prune::PruningConfig,
 }
 
 impl Default for XsdfConfig {
@@ -224,7 +220,6 @@ impl Default for XsdfConfig {
             vector_similarity: VectorSimilarity::default(),
             distance: DistancePolicy::EdgeCount,
             resolve_hyperlinks: true,
-            prune: crate::prune::PruningConfig::off(),
         }
     }
 }

@@ -58,17 +58,6 @@ impl ContextVectorScorer {
         &self.xml_vector
     }
 
-    /// The largest context score any candidate can produce: every scorer
-    /// output routes through [`crate::config::VectorSimilarity::apply`],
-    /// whose contract maps all measures into `[0, 1]`. The candidate
-    /// pruner ([`crate::prune`] level (a)) leans on this bound when it
-    /// computes a candidate's best reachable combined score, so it is an
-    /// explicit part of this type's API rather than an implementation
-    /// detail of the measures.
-    pub fn score_bound(&self) -> f64 {
-        1.0
-    }
-
     /// `Context_Score(s_p)` of Definition 10.
     pub fn score_single(&self, sn: &SemanticNetwork, candidate: ConceptId) -> f64 {
         let concept_vector = concept_context_vector(sn, candidate, self.radius, &self.filter);
@@ -140,10 +129,9 @@ mod tests {
         let t = tree("<cd><artist/><track/></cd>");
         let sn = mini_wordnet();
         let scorer = ContextVectorScorer::build(&t, find(&t, "track"), 2);
-        assert_eq!(scorer.score_bound(), 1.0);
         for key in ["track.song", "track.path", "track.rail"] {
             let s = scorer.score_single(sn, id(key));
-            assert!((0.0..=scorer.score_bound()).contains(&s), "{key}: {s}");
+            assert!((0.0..=1.0).contains(&s), "{key}: {s}");
         }
     }
 

@@ -151,10 +151,10 @@ const DEADLINE_CHECK_MASK: u64 = 31;
 /// one unit, while one candidate pair of a compound label costs two (it
 /// evaluates both token senses against the context, per Equation 10), so
 /// `max_sense_pairs` bounds the same amount of similarity work regardless
-/// of label shape. Candidate pruning ([`crate::prune::PruningConfig`])
-/// skips evaluations entirely, so a pruned run draws fewer units from the
-/// same budget; the guard also tallies what pruning skipped
-/// ([`Guard::candidates_pruned`], [`Guard::early_exits`]).
+/// of label shape. Every candidate draws its units before it is scored,
+/// even one the exact early exit ([`crate::prune`]) then abandons
+/// mid-scan; the guard tallies those abandonments
+/// ([`Guard::candidates_pruned`]).
 #[derive(Debug, Default)]
 pub struct Guard {
     max_nodes: Option<usize>,
@@ -163,7 +163,6 @@ pub struct Guard {
     deadline: Option<Deadline>,
     pairs: Cell<u64>,
     pruned: Cell<u64>,
-    early_exits: Cell<u64>,
 }
 
 impl Guard {
@@ -210,34 +209,15 @@ impl Guard {
         self.pairs.get()
     }
 
-    /// Budget units still available, or `None` when the pair budget is
-    /// unlimited. Budgeted pruning uses this to shrink the candidate set
-    /// *before* scoring instead of tripping the limit mid-loop.
-    pub fn remaining_sense_pairs(&self) -> Option<u64> {
-        self.max_sense_pairs
-            .map(|max| max.saturating_sub(self.pairs.get()))
-    }
-
-    /// Candidate evaluations skipped by pruning under this guard (density
-    /// screen drops, mid-scan abandonments, and early-exit skips).
+    /// Candidates the exact early exit abandoned mid-scan under this
+    /// guard: each could provably not beat its target's leader.
     pub fn candidates_pruned(&self) -> u64 {
         self.pruned.get()
     }
 
-    /// Times the scoring loop stopped early because the leader was
-    /// mathematically uncatchable.
-    pub fn early_exits(&self) -> u64 {
-        self.early_exits.get()
-    }
-
-    /// Tallies `n` candidate evaluations skipped by pruning.
+    /// Tallies `n` abandoned candidates.
     pub fn note_pruned(&self, n: u64) {
         self.pruned.set(self.pruned.get() + n);
-    }
-
-    /// Tallies one uncatchable-leader loop exit.
-    pub fn note_early_exit(&self) {
-        self.early_exits.set(self.early_exits.get() + 1);
     }
 
     /// Checks the wall-clock deadline, if one is set.
@@ -280,8 +260,8 @@ impl Guard {
         Ok(())
     }
 
-    /// Accounts `n` budget units at once — how the compound pair loop
-    /// charges each candidate pair its true cost of two single-sense
+    /// Accounts `n` budget units at once — how the scoring loop charges
+    /// each compound candidate pair its true cost of two single-sense
     /// evaluations (Equation 10 scores both token senses against every
     /// context sense). Equivalent to `n` consecutive
     /// [`Guard::tick_sense_pair`] calls.
@@ -375,28 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn remaining_budget_counts_down() {
-        let g = Guard::unlimited();
-        assert_eq!(g.remaining_sense_pairs(), None);
-        let g = Guard::unlimited().with_max_sense_pairs(5);
-        assert_eq!(g.remaining_sense_pairs(), Some(5));
-        g.tick_sense_pairs(3).unwrap();
-        assert_eq!(g.remaining_sense_pairs(), Some(2));
-        g.tick_sense_pair().unwrap();
-        g.tick_sense_pair().unwrap();
-        assert_eq!(g.remaining_sense_pairs(), Some(0));
-    }
-
-    #[test]
     fn pruning_tallies_accumulate() {
         let g = Guard::unlimited();
         assert_eq!(g.candidates_pruned(), 0);
-        assert_eq!(g.early_exits(), 0);
         g.note_pruned(3);
         g.note_pruned(2);
-        g.note_early_exit();
         assert_eq!(g.candidates_pruned(), 5);
-        assert_eq!(g.early_exits(), 1);
     }
 
     #[test]

@@ -57,6 +57,5 @@ pub use config::{
 };
 pub use guard::{Deadline, Guard, GuardError, LimitKind};
 pub use pipeline::{DisambiguationResult, NodeReport, SenseChoice, Xsdf};
-pub use prune::PruningConfig;
 pub use senses::{LingTokenizer, SenseCandidates};
 pub use xmltree::distance::DistancePolicy;

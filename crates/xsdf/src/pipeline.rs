@@ -12,7 +12,8 @@ use crate::concept_based::{ConceptContext, EvidenceMemo};
 use crate::config::XsdfConfig;
 use crate::context_based::ContextVectorScorer;
 use crate::guard::{Guard, GuardError};
-use crate::senses::{LabelTable, LingTokenizer, SenseCandidates};
+use crate::prune::PRUNE_SLACK;
+use crate::senses::{LabelTable, LingTokenizer};
 
 /// The sense (or sense pair, for compound labels) chosen for a target node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -284,29 +285,24 @@ impl<'sn> Xsdf<'sn> {
         })
     }
 
-    /// Scores every candidate sense of a target and returns the best.
+    /// Scores every candidate sense of a target and returns the best: one
+    /// loop over [`crate::SenseCandidates::choices`], combining Definition 8
+    /// (Equation 10 for pairs) and Definition 10 by Equation 13.
     ///
-    /// Budget: each single-sense evaluation ticks the guard's sense-pair
-    /// budget once; a compound candidate pair ticks twice (it evaluates
-    /// both token senses against the context, per Equation 10).
+    /// Budget: each candidate draws its cost from the guard's sense-pair
+    /// budget before it is scored — one unit per sense, two per compound
+    /// pair (it evaluates both token senses against the context).
     ///
-    /// Tie-breaking is part of the determinism contract: **every** path
-    /// keeps the *first* maximum — a challenger must score strictly
-    /// higher. (The compound one-token-unknown fallback historically kept
-    /// the *last* tie, an `Iterator::max_by` artifact, while the `Single`
-    /// branch and the pair loop kept the first; the contract is now
-    /// keep-first everywhere, mirrored by the conformance reference.)
-    /// Exact pruning leans on this: abandoning a candidate whose upper
-    /// bound merely *equals* the leader is safe only because an equal
-    /// score never wins.
+    /// Tie-breaking is part of the determinism contract: the loop keeps
+    /// the *first* maximum — a challenger must score strictly higher —
+    /// for single senses, compound pairs and the one-sided compound
+    /// fallback alike, mirrored by the conformance reference.
     ///
-    /// Candidate pruning ([`crate::prune`], `config.prune`, off by
-    /// default) is applied here: a density pre-screen may drop candidates
-    /// before scoring (levels (b)/(c)), and the exact early exit (level
-    /// (a)) abandons candidates whose running upper bound cannot strictly
-    /// beat the leader, stopping the whole loop once the leader is
-    /// uncatchable. Level (a) is provably result-identical: survivors
-    /// reuse the bit-exact arithmetic of the unpruned scorers.
+    /// The exact early exit ([`crate::prune`]) leans on that contract: a
+    /// candidate whose running upper bound cannot strictly beat the
+    /// leader is abandoned mid-scan and counted by
+    /// [`Guard::note_pruned`]. Survivors reuse the bit-exact arithmetic
+    /// of unbounded scoring, so the winner and its score never change.
     fn score_candidates<C: SimilarityCache>(
         &self,
         tree: &XmlTree,
@@ -316,255 +312,57 @@ impl<'sn> Xsdf<'sn> {
         (w_concept, w_context): (f64, f64),
         guard: &Guard,
     ) -> Result<Option<(SenseChoice, f64)>, GuardError> {
-        let candidates = scope.labels.candidates(node);
         let radius = self.config.radius;
-        let prune = self.config.prune;
-        let concept_context = || {
-            ConceptContext::build_in(
+        // Build each scorer lazily: pure processes need only one of them.
+        // The concept context's suffix weight sums feed each candidate's
+        // running concept-score bound.
+        let concept = (w_concept > 0.0).then(|| {
+            let ctx = ConceptContext::build_in(
                 &scope.labels,
                 &scope.memo,
                 tree,
                 node,
                 radius,
                 self.config.distance,
-            )
-        };
-        // Build each scorer lazily: pure processes need only one of them.
-        let concept_ctx = (w_concept > 0.0).then(concept_context);
+            );
+            let suffix = ctx.suffix_weight_sums();
+            (ctx, suffix)
+        });
         let context_scorer = (w_context > 0.0).then(|| {
             ContextVectorScorer::build(tree, node, radius)
                 .with_measure(self.config.vector_similarity)
         });
 
-        // Level (a) machinery: per-target suffix weight sums feed the
-        // running concept-score bound; `global_bound` is the combined
-        // score a *perfect* candidate would reach in this context, and
-        // `slack` absorbs floating-point drift (plus any requested
-        // level-(c) margin) so a prune can never flip a comparison.
-        let prune_on = prune.early_exit;
-        let suffix = prune_on
-            .then(|| concept_ctx.as_ref().map(ConceptContext::suffix_weight_sums))
-            .flatten();
-        let slack = prune.slack();
-        let global_bound = w_concept
-            * concept_ctx
-                .as_ref()
-                .map_or(0.0, ConceptContext::max_concept_score)
-            + w_context
-                * context_scorer
-                    .as_ref()
-                    .map_or(0.0, ContextVectorScorer::score_bound);
-
-        // Levels (b)/(c): the density screen's K for single-sense lists
-        // and for compound pair counts. The budgeted K is re-derived per
-        // target from the guard's remaining budget, so later targets of a
-        // budgeted document screen harder instead of tripping the limit;
-        // a compound pair costs two budget units, hence the halving.
-        let density_k = (prune.density_top_k > 0).then_some(prune.density_top_k);
-        let budget_k = prune
-            .budgeted
-            .then(|| guard.remaining_sense_pairs())
-            .flatten()
-            .map(|r| (r as usize).max(1));
-        let single_k = min_opt(density_k, budget_k);
-        let pair_k = min_opt(density_k, budget_k.map(|b| (b / 2).max(1)));
-        let density_senses = (single_k.is_some() || pair_k.is_some()).then(|| {
-            // A pure context-based process builds a screen-only concept
-            // context for its sense inventory.
-            concept_ctx
-                .as_ref()
-                .map(ConceptContext::context_senses)
-                .unwrap_or_else(|| concept_context().context_senses())
-        });
-        let screen = |senses: &[ConceptId], k: usize, ctx_senses: &[ConceptId]| -> Vec<ConceptId> {
-            let mask = crate::prune::density_keep_mask(self.sn, senses, ctx_senses, k);
-            senses
-                .iter()
-                .zip(&mask)
-                .filter(|&(_, &kept)| kept)
-                .map(|(&s, _)| s)
-                .collect()
-        };
-
-        // The combined Equation 13 scorer. The context score is computed
-        // first (it is a single whole-vector comparison — nothing to
-        // abandon incrementally), then the concept score entry by entry
-        // under the running bound. `None` means the candidate was
-        // abandoned: its true score provably cannot strictly beat
-        // `leader`. Survivor arithmetic is identical to the unpruned path.
-        let score = |choice: SenseChoice, leader: Option<f64>| -> Option<f64> {
+        let mut best: Option<(SenseChoice, f64)> = None;
+        for (choice, cost) in scope.labels.candidates(node).choices() {
+            guard.tick_sense_pairs(cost)?;
+            // The context score is one whole-vector comparison, so it is
+            // computed first; the concept score then runs entry by entry
+            // under the bound.
             let x = context_scorer.as_ref().map_or(0.0, |cs| match choice {
                 SenseChoice::Single(s) => cs.score_single_cached(self.sn, s, sim.cache()),
                 SenseChoice::Pair(a, b) => cs.score_pair(self.sn, a, b),
             });
-            let c = match &concept_ctx {
-                Some(ctx) => {
-                    let mut abandon = |ub: f64| {
-                        leader.is_some_and(|l| w_concept * ub + w_context * x + slack <= l)
-                    };
-                    let bound = suffix
-                        .as_deref()
-                        .map(|sfx| (sfx, &mut abandon as &mut dyn FnMut(f64) -> bool));
-                    ctx.score(self.sn, sim, choice, bound)?
+            let leader = best.map(|(_, b)| b);
+            let mut abandon =
+                |ub: f64| leader.is_some_and(|l| w_concept * ub + w_context * x + PRUNE_SLACK <= l);
+            let c = match &concept {
+                Some((ctx, suffix)) => {
+                    ctx.score(self.sn, sim, choice, Some((suffix, &mut abandon)))
                 }
-                None => 0.0,
+                None => Some(0.0),
             };
-            Some(w_concept * c + w_context * x)
-        };
-
-        let best_single = |senses: &[ConceptId]| -> Result<Option<(SenseChoice, f64)>, GuardError> {
-            let screened;
-            let senses: &[ConceptId] = match (single_k, &density_senses) {
-                (Some(k), Some(ctx_senses)) if senses.len() > k => {
-                    screened = screen(senses, k, ctx_senses);
-                    guard.note_pruned((senses.len() - screened.len()) as u64);
-                    &screened
-                }
-                _ => senses,
-            };
-            let mut best: Option<(SenseChoice, f64)> = None;
-            for (i, &s) in senses.iter().enumerate() {
-                if prune_on {
-                    if let Some((_, leader)) = best {
-                        if global_bound + slack <= leader {
-                            // Not even a perfect candidate could strictly
-                            // beat the leader: the rest of the list is
-                            // mathematically out of the race.
-                            guard.note_pruned((senses.len() - i) as u64);
-                            guard.note_early_exit();
-                            break;
-                        }
+            match c {
+                Some(c) => {
+                    let score = w_concept * c + w_context * x;
+                    if leader.is_none_or(|l| score > l) {
+                        best = Some((choice, score));
                     }
                 }
-                guard.tick_sense_pair()?;
-                match score(SenseChoice::Single(s), best.map(|(_, b)| b)) {
-                    Some(score) => {
-                        if best.is_none_or(|(_, b)| score > b) {
-                            best = Some((SenseChoice::Single(s), score));
-                        }
-                    }
-                    None => guard.note_pruned(1),
-                }
-            }
-            Ok(best)
-        };
-
-        match candidates {
-            SenseCandidates::Unknown => Ok(None),
-            SenseCandidates::Single(senses) => best_single(senses),
-            SenseCandidates::Compound { first, second } => {
-                // One of the token lists may be empty (token unknown to the
-                // lexicon): fall back to single-token choice.
-                if first.is_empty() {
-                    return best_single(second);
-                }
-                if second.is_empty() {
-                    return best_single(first);
-                }
-                // Screening pair-by-pair would cost as much as scoring, so
-                // each side is screened independently to ⌈√K⌉ senses,
-                // bounding the kept pair count near K.
-                let (screened_first, screened_second);
-                let (first, second): (&[ConceptId], &[ConceptId]) = match (pair_k, &density_senses)
-                {
-                    (Some(k), Some(ctx_senses)) if first.len() * second.len() > k => {
-                        let cap = crate::prune::compound_side_cap(k);
-                        screened_first = screen(first, cap, ctx_senses);
-                        screened_second = screen(second, cap, ctx_senses);
-                        let kept = screened_first.len() * screened_second.len();
-                        guard.note_pruned((first.len() * second.len() - kept) as u64);
-                        (&screened_first, &screened_second)
-                    }
-                    _ => (first, second),
-                };
-                let mut best: Option<(SenseChoice, f64)> = None;
-                'pairs: for (i, &a) in first.iter().enumerate() {
-                    for (j, &b) in second.iter().enumerate() {
-                        if prune_on {
-                            if let Some((_, leader)) = best {
-                                if global_bound + slack <= leader {
-                                    let remaining = (first.len() - i) * second.len() - j;
-                                    guard.note_pruned(remaining as u64);
-                                    guard.note_early_exit();
-                                    break 'pairs;
-                                }
-                            }
-                        }
-                        // A compound pair evaluates both token senses
-                        // against the context: two budget units.
-                        guard.tick_sense_pairs(2)?;
-                        match score(SenseChoice::Pair(a, b), best.map(|(_, bst)| bst)) {
-                            Some(score) => {
-                                if best.is_none_or(|(_, bst)| score > bst) {
-                                    best = Some((SenseChoice::Pair(a, b), score));
-                                }
-                            }
-                            None => guard.note_pruned(1),
-                        }
-                    }
-                }
-                Ok(best)
+                None => guard.note_pruned(1),
             }
         }
-    }
-
-    /// Disambiguates a batch of trees in parallel with scoped threads
-    /// (whole-document parallelism: each tree is independent). `threads`
-    /// is clamped to the batch size; 0 or 1 runs sequentially.
-    ///
-    /// ```
-    /// use xsdf::{Xsdf, XsdfConfig};
-    /// let sn = semnet::mini_wordnet();
-    /// let xsdf = Xsdf::new(sn, XsdfConfig::default());
-    /// let docs: Vec<_> = (0..4)
-    ///     .map(|_| xmltree::parse("<cast><star>Kelly</star></cast>").unwrap())
-    ///     .collect();
-    /// let trees: Vec<_> = docs.iter().map(|d| xsdf.build_tree(d)).collect();
-    /// let tree_refs: Vec<&xmltree::XmlTree> = trees.iter().collect();
-    /// let results = xsdf.disambiguate_batch(&tree_refs, 2);
-    /// assert_eq!(results.len(), 4);
-    /// ```
-    pub fn disambiguate_batch(
-        &self,
-        trees: &[&XmlTree],
-        threads: usize,
-    ) -> Vec<DisambiguationResult> {
-        let threads = threads.clamp(1, trees.len().max(1));
-        if threads <= 1 || trees.len() <= 1 {
-            return trees.iter().map(|t| self.disambiguate_tree(t)).collect();
-        }
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<DisambiguationResult>>> =
-            trees.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= trees.len() {
-                        break;
-                    }
-                    let result = self.disambiguate_tree(trees[i]);
-                    // invariant: slot i is locked only by the one worker
-                    // that claimed index i, and never across a panic (the
-                    // result is computed before the lock is taken), so the
-                    // mutex cannot be contended or poisoned
-                    *results[i].lock().expect("no panics hold the lock") = Some(result);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                // invariant: a worker panic propagates out of the scope
-                // above before this runs, so every slot was filled and no
-                // lock is poisoned
-                slot.into_inner()
-                    .expect("lock")
-                    .expect("every index processed")
-            })
-            .collect()
+        Ok(best)
     }
 
     fn annotate(
@@ -600,15 +398,6 @@ impl<'sn> Xsdf<'sn> {
 struct DocumentScope<'t> {
     labels: LabelTable<'t>,
     memo: EvidenceMemo,
-}
-
-/// Minimum of two optional caps, where `None` means "uncapped".
-fn min_opt(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
 }
 
 #[cfg(test)]
@@ -805,27 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential() {
-        let sn = mini_wordnet();
-        let xsdf = Xsdf::new(sn, XsdfConfig::default());
-        let docs: Vec<xmltree::Document> = [FIGURE1_DOC1, FIGURE1_DOC2, FIGURE1_DOC1]
-            .iter()
-            .map(|xml| xmltree::parse(xml).unwrap())
-            .collect();
-        let trees: Vec<XmlTree> = docs.iter().map(|d| xsdf.build_tree(d)).collect();
-        let refs: Vec<&XmlTree> = trees.iter().collect();
-        let sequential = xsdf.disambiguate_batch(&refs, 1);
-        let parallel = xsdf.disambiguate_batch(&refs, 3);
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.assigned_count(), b.assigned_count());
-            for (ra, rb) in a.reports.iter().zip(&b.reports) {
-                assert_eq!(ra.chosen, rb.chosen, "{}", ra.label);
-            }
-        }
-    }
-
-    #[test]
     fn hyperlinks_extend_the_context_graph() {
         // A book references its author by IDREF: with hyperlink resolution
         // the author's neighborhood reaches the book's, helping both sides.
@@ -984,23 +752,41 @@ mod tests {
         );
     }
 
-    fn assert_reports_bit_identical(a: &DisambiguationResult, b: &DisambiguationResult) {
-        assert_eq!(a.reports.len(), b.reports.len());
-        for (ra, rb) in a.reports.iter().zip(&b.reports) {
-            match (ra.chosen, rb.chosen) {
-                (None, None) => {}
-                (Some((ca, sa)), Some((cb, sb))) => {
-                    assert_eq!(ca, cb, "{}", ra.label);
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "{}: {sa} vs {sb}", ra.label);
-                }
-                other => panic!("{}: {:?}", ra.label, other),
+    /// The winner of exhaustive scoring: every candidate scored to its
+    /// last context entry with no bound, first maximum kept, then the
+    /// annotation gate.
+    fn exhaustive_choice(xsdf: &Xsdf, tree: &XmlTree, node: NodeId) -> Option<(SenseChoice, f64)> {
+        let (sn, cfg) = (xsdf.network(), xsdf.config());
+        let (w_concept, w_context) = cfg.process.weights();
+        let sim = CombinedSimilarity::new(cfg.similarity);
+        let ctx = ConceptContext::build(sn, tree, node, cfg.radius);
+        let scorer =
+            ContextVectorScorer::build(tree, node, cfg.radius).with_measure(cfg.vector_similarity);
+        let candidates = disambiguation_candidates(sn, tree.label(node), tree.node(node).kind);
+        let mut best: Option<(SenseChoice, f64)> = None;
+        for (choice, _) in candidates.choices() {
+            let c = if w_concept > 0.0 {
+                ctx.score(sn, &sim, choice, None).unwrap()
+            } else {
+                0.0
+            };
+            let x = match (w_context > 0.0, choice) {
+                (false, _) => 0.0,
+                (true, SenseChoice::Single(s)) => scorer.score_single(sn, s),
+                (true, SenseChoice::Pair(a, b)) => scorer.score_pair(sn, a, b),
+            };
+            let score = w_concept * c + w_context * x;
+            if best.is_none_or(|(_, b)| score > b) {
+                best = Some((choice, score));
             }
         }
+        best.filter(|&(_, score)| score > cfg.min_score || candidates.candidate_count() == 1)
     }
 
     #[test]
     fn exact_pruning_is_bit_identical_across_processes_and_radii() {
         let compound_doc = "<films><star_picture/><cast/><actor/></films>";
+        let bits = |c: Option<(SenseChoice, f64)>| c.map(|(s, f)| (s, f.to_bits()));
         for process in [
             DisambiguationProcess::ConceptBased,
             DisambiguationProcess::ContextBased,
@@ -1010,17 +796,20 @@ mod tests {
             },
         ] {
             for radius in [1, 2, 3] {
+                let cfg = XsdfConfig {
+                    radius,
+                    process,
+                    ..XsdfConfig::default()
+                };
+                let xsdf = Xsdf::new(mini_wordnet(), cfg);
                 for xml in [FIGURE1_DOC1, FIGURE1_DOC2, compound_doc] {
-                    let base = XsdfConfig {
-                        radius,
-                        process,
-                        ..XsdfConfig::default()
-                    };
-                    let pruned_cfg = XsdfConfig {
-                        prune: crate::prune::PruningConfig::exact(),
-                        ..base.clone()
-                    };
-                    assert_reports_bit_identical(&run(xml, base), &run(xml, pruned_cfg));
+                    let tree = xsdf.build_tree(&xmltree::parse(xml).unwrap());
+                    let result = xsdf.disambiguate_tree(&tree);
+                    for r in result.targets().filter(|r| r.candidates > 0) {
+                        let want = exhaustive_choice(&xsdf, &tree, r.node);
+                        let ctx = format!("{process:?} radius {radius}: {}", r.label);
+                        assert_eq!(bits(r.chosen), bits(want), "{ctx}");
+                    }
                 }
             }
         }
@@ -1028,11 +817,7 @@ mod tests {
 
     #[test]
     fn exact_pruning_actually_prunes_polysemous_targets() {
-        let cfg = XsdfConfig {
-            prune: crate::prune::PruningConfig::exact(),
-            ..XsdfConfig::default()
-        };
-        let xsdf = Xsdf::new(mini_wordnet(), cfg);
+        let xsdf = Xsdf::new(mini_wordnet(), XsdfConfig::default());
         let doc = xmltree::parse(FIGURE1_DOC1).unwrap();
         let tree = xsdf.build_tree(&doc);
         let ambiguities = xsdf.select(&tree);
@@ -1044,103 +829,6 @@ mod tests {
             guard.candidates_pruned() > 0,
             "the polysemous Figure 1 document must see abandoned candidates"
         );
-    }
-
-    #[test]
-    fn density_pruning_is_deterministic_and_bounded() {
-        let cfg = XsdfConfig {
-            prune: crate::prune::PruningConfig::density(2),
-            ..XsdfConfig::default()
-        };
-        let a = run(FIGURE1_DOC1, cfg.clone());
-        let b = run(FIGURE1_DOC1, cfg);
-        // Deterministic: two runs agree bit-for-bit.
-        assert_reports_bit_identical(&a, &b);
-        assert!(a.assigned_count() > 0);
-        // Bounded divergence: when the screened run picks the same sense
-        // as the unpruned run, the score is bit-identical (survivors keep
-        // the exact arithmetic); Figure 1's strong winners must survive a
-        // K=2 screen.
-        let unpruned = run(FIGURE1_DOC1, XsdfConfig::default());
-        assert_eq!(a.assignment_for_label("cast"), Some("cast.actors"));
-        assert_eq!(a.assignment_for_label("kelly"), Some("kelly.grace"));
-        for (ra, ru) in a.reports.iter().zip(&unpruned.reports) {
-            if let (Some((ca, sa)), Some((cu, su))) = (ra.chosen, ru.chosen) {
-                if ca == cu {
-                    assert_eq!(sa.to_bits(), su.to_bits(), "{}", ra.label);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_pruning_degrades_instead_of_tripping() {
-        // A budget smaller than the candidate list: the unbudgeted run
-        // trips the sense-pair limit mid-target, the budgeted run screens
-        // the list down to what the budget affords and completes.
-        let sn = mini_wordnet();
-        let doc = xmltree::parse(FIGURE1_DOC1).unwrap();
-        let sim = CombinedSimilarity::default();
-
-        let plain = Xsdf::new(sn, XsdfConfig::default());
-        let tree = plain.build_tree(&doc);
-        let mut ambiguities = plain.select(&tree);
-        ambiguities.retain(|na| tree.label(na.node) == "cast");
-        assert_eq!(ambiguities.len(), 1);
-        let senses = disambiguation_candidates(sn, "cast", tree.node(ambiguities[0].node).kind);
-        let budget = senses.candidate_count() as u64 - 2;
-
-        let guard = Guard::unlimited().with_max_sense_pairs(budget);
-        plain
-            .disambiguate_selected_guarded(&tree, &ambiguities, &sim, &guard)
-            .expect_err("unbudgeted run must trip the limit");
-
-        let budgeted = Xsdf::new(
-            sn,
-            XsdfConfig {
-                prune: crate::prune::PruningConfig {
-                    early_exit: true,
-                    budgeted: true,
-                    ..crate::prune::PruningConfig::default()
-                },
-                ..XsdfConfig::default()
-            },
-        );
-        let guard = Guard::unlimited().with_max_sense_pairs(budget);
-        let result = budgeted
-            .disambiguate_selected_guarded(&tree, &ambiguities, &sim, &guard)
-            .expect("budgeted run must degrade gracefully");
-        assert!(guard.pairs_scored() <= budget);
-        assert!(guard.candidates_pruned() > 0);
-        // The densest candidate survives the screen and still wins.
-        assert_eq!(result.assignment_for_label("cast"), Some("cast.actors"));
-    }
-
-    #[test]
-    fn pruned_batch_matches_unpruned_batch_across_threads() {
-        let sn = mini_wordnet();
-        let docs: Vec<xmltree::Document> = [FIGURE1_DOC1, FIGURE1_DOC2, FIGURE1_DOC1]
-            .iter()
-            .map(|xml| xmltree::parse(xml).unwrap())
-            .collect();
-        let plain = Xsdf::new(sn, XsdfConfig::default());
-        let pruned = Xsdf::new(
-            sn,
-            XsdfConfig {
-                prune: crate::prune::PruningConfig::exact(),
-                ..XsdfConfig::default()
-            },
-        );
-        let trees: Vec<XmlTree> = docs.iter().map(|d| plain.build_tree(d)).collect();
-        let refs: Vec<&XmlTree> = trees.iter().collect();
-        let baseline = plain.disambiguate_batch(&refs, 1);
-        for threads in [1, 2, 3] {
-            let got = pruned.disambiguate_batch(&refs, threads);
-            assert_eq!(baseline.len(), got.len());
-            for (a, b) in baseline.iter().zip(&got) {
-                assert_reports_bit_identical(a, b);
-            }
-        }
     }
 
     #[test]

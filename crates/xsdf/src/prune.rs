@@ -1,56 +1,33 @@
-//! Candidate-space pruning for the scoring loop (ROADMAP item: make the
-//! disambiguator skip hopeless senses instead of scoring every one).
+//! The exact early exit of the scoring loop: a candidate is abandoned the
+//! moment its running upper bound can no longer strictly beat the leader.
 //!
 //! Definition 8 / Equation 10 scoring is quadratic in candidate senses per
 //! sphere: every candidate pays one combined-similarity evaluation per
-//! context sense even when it is mathematically out of the race. This
-//! module provides three composable pruning levels, all **off by default**:
+//! context sense. Most candidates of a polysemous target are out of the
+//! race long before their last context entry, so the scoring loop
+//! ([`crate::Xsdf::disambiguate_selected_guarded`]) always runs bounded and
+//! stops each candidate as soon as it provably cannot win. The winner and
+//! its score are those of exhaustive scoring, bit for bit.
 //!
-//! * **Level (a) — exact early-exit** ([`PruningConfig::early_exit`]):
-//!   per-entry contributions to the concept score are bounded
-//!   (`max_sim ≤ 1`, context-vector weights known up front), so the scorer
-//!   keeps a running upper bound per candidate and abandons a candidate the
-//!   moment its bound falls below the current leader, plus stops the whole
-//!   loop once the leader is uncatchable. Provably identical results — see
-//!   the bound derivation below and DESIGN.md "Candidate pruning".
-//! * **Level (b) — density pre-score** ([`PruningConfig::density_top_k`]):
-//!   a cheap conceptual-density-style screen (shared-neighbor and
-//!   token-set-overlap counts over [`semnet::GlossArtifacts`] sorted sets,
-//!   in the spirit of Agirre & Rigau's conceptual density) ranks candidates
-//!   before Definition 8/10 scoring and keeps only the top *K*. Deviations
-//!   are possible (the screen is a heuristic) but bounded and
-//!   deterministic: survivors keep their original scan order, so the kept
-//!   candidates score bit-identically to an unpruned run restricted to the
-//!   same set.
-//! * **Level (c) — budgeted mode** ([`PruningConfig::budgeted`] +
-//!   [`PruningConfig::bound_slack`]): *K* is additionally derived from the
-//!   [`crate::guard::Guard`]'s remaining sense-pair budget (the candidate
-//!   set shrinks to what the budget can afford instead of tripping
-//!   mid-loop), and `bound_slack` widens the early-exit margin so
-//!   candidates within the slack of the leader's reachable bound are
-//!   dropped too (inexact when > 0).
-//!
-//! # Exactness of the level-(a) bound
+//! # Exactness of the bound
 //!
 //! For a candidate with concept score
 //! `c = clamp((Σ_i m_i·w_i) / card, 0, 1)` where every `m_i ∈ [0, 1]` and
 //! `w_i ≥ 0`, the partial sum after `i` entries plus the remaining weight
 //! mass `S_i = Σ_{j≥i} w_j` gives `ub_c = min(1, (partial_i + S_i)/card)
 //! ≥ c`. The combined score `w_concept·c + w_context·x` (with the context
-//! score `x ∈ [0, 1]` computed first, exactly as the unpruned path would)
+//! score `x ∈ [0, 1]` computed first, exactly as exhaustive scoring would)
 //! is therefore bounded by `w_concept·ub_c + w_context·x`. Because the
 //! pipeline keeps the **first** maximum on ties, a challenger must score
 //! *strictly* above the leader, so abandoning when
 //! `bound + PRUNE_SLACK ≤ leader` can never change the winner.
-//! [`PRUNE_SLACK`] absorbs floating-point drift: survivors reuse the exact
-//! left-to-right summation of the unpruned scorer (bit-identical scores),
+//! [`PRUNE_SLACK`] absorbs floating-point drift: survivors run the exact
+//! left-to-right summation of unbounded scoring (bit-identical scores),
 //! and the bound's own drift is far below the slack (see its docs).
 
-use semnet::{ConceptId, SemanticNetwork};
-
-/// Absolute slack added to every level-(a) upper bound before comparing
-/// against the leader, so floating-point drift in the bound can never turn
-/// an exact prune into a wrong one.
+/// Absolute slack added to every upper bound before comparing against the
+/// leader, so floating-point drift in the bound can never turn an exact
+/// prune into a wrong one.
 ///
 /// Derivation: context-vector coordinates are products of a structural
 /// factor in `(0, 1]` and the scale `2/(|S|+1)`, so a single entry weight
@@ -61,309 +38,3 @@ use semnet::{ConceptId, SemanticNetwork};
 /// orders of magnitude under this slack. The cost of the slack is at most
 /// one extra (correctly kept) candidate evaluation per hair-thin margin.
 pub const PRUNE_SLACK: f64 = 1e-9;
-
-/// Opt-in candidate pruning configuration, threaded through
-/// [`crate::XsdfConfig::prune`]. The default ([`PruningConfig::off`])
-/// disables every level and reproduces the historical scoring loop
-/// exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PruningConfig {
-    /// Level (a): exact branch-and-bound early exit. Result-identical by
-    /// construction (and proven so by the conformance differential
-    /// oracle); safe to leave on whenever pruning is wanted at all.
-    pub early_exit: bool,
-    /// Level (b): keep only the top-K candidates of the density
-    /// pre-score before full scoring. `0` disables the screen. Inexact
-    /// (the screen is a heuristic) but deterministic.
-    pub density_top_k: usize,
-    /// Level (c): extra margin on the early-exit bound — candidates whose
-    /// reachable bound is within `bound_slack` of the leader are abandoned
-    /// too. `0.0` keeps level (a) exact; values `> 0` trade accuracy for
-    /// speed. Negative values are treated as `0.0`.
-    pub bound_slack: f64,
-    /// Level (c): derive an additional top-K from the guard's remaining
-    /// sense-pair budget, so a budgeted document degrades into scoring its
-    /// densest candidates instead of tripping
-    /// [`crate::guard::LimitKind::SensePairs`] mid-target.
-    pub budgeted: bool,
-}
-
-impl PruningConfig {
-    /// Every level disabled (the default): the scoring loop is untouched.
-    pub fn off() -> Self {
-        Self::default()
-    }
-
-    /// Level (a) only: exact early-exit, provably identical results.
-    pub fn exact() -> Self {
-        Self {
-            early_exit: true,
-            ..Self::default()
-        }
-    }
-
-    /// Levels (a) + (b): exact early-exit plus the density screen keeping
-    /// the top `k` candidates.
-    pub fn density(k: usize) -> Self {
-        Self {
-            early_exit: true,
-            density_top_k: k,
-            ..Self::default()
-        }
-    }
-
-    /// Whether any level is active.
-    pub fn is_enabled(&self) -> bool {
-        self.early_exit || self.density_top_k > 0 || self.budgeted
-    }
-
-    /// Whether the active configuration is provably result-identical to
-    /// unpruned scoring (level (a) alone, with no slack).
-    pub fn is_exact(&self) -> bool {
-        self.density_top_k == 0 && !self.budgeted && self.bound_slack <= 0.0
-    }
-
-    /// The effective slack for early-exit comparisons: the exactness
-    /// guard [`PRUNE_SLACK`] plus any caller-requested
-    /// [`PruningConfig::bound_slack`].
-    pub fn slack(&self) -> f64 {
-        PRUNE_SLACK + self.bound_slack.max(0.0)
-    }
-
-    /// Parses the CLI/server pruning spec: a comma-separated list of
-    /// `off`, `exact`, `topk:<K>`, `budget`, and `slack:<float>`.
-    /// `topk`, `budget`, and `slack` imply `exact` (the levels compose;
-    /// level (a) never hurts). `off` must stand alone.
-    ///
-    /// ```
-    /// use xsdf::prune::PruningConfig;
-    /// assert_eq!(PruningConfig::parse("off").unwrap(), PruningConfig::off());
-    /// assert_eq!(PruningConfig::parse("exact").unwrap(), PruningConfig::exact());
-    /// let p = PruningConfig::parse("exact,topk:8,budget,slack:0.05").unwrap();
-    /// assert!(p.early_exit && p.budgeted);
-    /// assert_eq!(p.density_top_k, 8);
-    /// assert!((p.bound_slack - 0.05).abs() < 1e-12);
-    /// assert!(PruningConfig::parse("topk:0").is_err());
-    /// ```
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut config = Self::off();
-        let mut saw_off = false;
-        let mut saw_level = false;
-        for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match token {
-                "off" => saw_off = true,
-                "exact" => {
-                    config.early_exit = true;
-                    saw_level = true;
-                }
-                "budget" => {
-                    config.early_exit = true;
-                    config.budgeted = true;
-                    saw_level = true;
-                }
-                _ => {
-                    if let Some(k) = token.strip_prefix("topk:") {
-                        let k: usize = k
-                            .parse()
-                            .map_err(|_| format!("bad prune topk value {k:?}"))?;
-                        if k == 0 {
-                            return Err("prune topk must be at least 1".into());
-                        }
-                        config.early_exit = true;
-                        config.density_top_k = k;
-                        saw_level = true;
-                    } else if let Some(s) = token.strip_prefix("slack:") {
-                        let s: f64 = s
-                            .parse()
-                            .map_err(|_| format!("bad prune slack value {s:?}"))?;
-                        if !(0.0..=1.0).contains(&s) {
-                            return Err(format!("prune slack {s} outside [0, 1]"));
-                        }
-                        config.early_exit = true;
-                        config.bound_slack = s;
-                        saw_level = true;
-                    } else {
-                        return Err(format!(
-                            "bad prune level {token:?} (expected off, exact, topk:<K>, \
-                             budget, or slack:<float>)"
-                        ));
-                    }
-                }
-            }
-        }
-        if saw_off && saw_level {
-            return Err("prune level \"off\" cannot combine with other levels".into());
-        }
-        Ok(config)
-    }
-}
-
-/// The density pre-score of one candidate against the target's context
-/// senses: shared-neighbor counts plus token-set overlaps over the
-/// network's precomputed sorted sets. Integer, cheap (two sorted merges
-/// per context sense), and a monotone proxy for how much evidence full
-/// Definition 8/10 scoring could find.
-pub fn density_score(sn: &SemanticNetwork, candidate: ConceptId, context: &[ConceptId]) -> u64 {
-    let art = sn.gloss_artifacts();
-    let mut score = 0u64;
-    for &ctx in context {
-        if ctx == candidate {
-            continue;
-        }
-        score += art.shared_neighbors(candidate, ctx).len() as u64;
-        score += u64::from(art.token_sets_intersect(candidate, ctx));
-    }
-    score
-}
-
-/// Ranks `candidates` by density pre-score and returns a keep-mask with
-/// exactly `min(k, len)` `true` slots, in the candidates' **original
-/// order** (survivors are scored in the same sequence — and hence with the
-/// same floating-point summation — as an unpruned run over the same set).
-/// Ties keep the earlier candidate, matching the pipeline's keep-first
-/// contract.
-pub fn density_keep_mask(
-    sn: &SemanticNetwork,
-    candidates: &[ConceptId],
-    context: &[ConceptId],
-    k: usize,
-) -> Vec<bool> {
-    if k >= candidates.len() {
-        return vec![true; candidates.len()];
-    }
-    let mut ranked: Vec<(usize, u64)> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (i, density_score(sn, c, context)))
-        .collect();
-    // Highest density first; ties broken by original index ascending so
-    // the screen is deterministic and favors the keep-first winner.
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let mut keep = vec![false; candidates.len()];
-    for &(i, _) in ranked.iter().take(k.max(1)) {
-        keep[i] = true;
-    }
-    keep
-}
-
-/// The per-side cap for compound pair screening: keeping `⌈√K⌉` senses of
-/// each token bounds the pair count near `K` while screening each side
-/// independently (pair-by-pair ranking would cost as much as scoring).
-pub fn compound_side_cap(k: usize) -> usize {
-    ((k as f64).sqrt().ceil() as usize).max(1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use semnet::mini_wordnet;
-
-    fn id(key: &str) -> ConceptId {
-        mini_wordnet().by_key(key).unwrap()
-    }
-
-    #[test]
-    fn default_is_off_and_exact_levels_report_exactness() {
-        let off = PruningConfig::default();
-        assert!(!off.is_enabled());
-        assert_eq!(off, PruningConfig::off());
-        assert!(PruningConfig::exact().is_enabled());
-        assert!(PruningConfig::exact().is_exact());
-        assert!(!PruningConfig::density(4).is_exact());
-        assert!(!PruningConfig {
-            bound_slack: 0.1,
-            ..PruningConfig::exact()
-        }
-        .is_exact());
-        assert!(!PruningConfig {
-            budgeted: true,
-            ..PruningConfig::exact()
-        }
-        .is_exact());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "fast",
-            "topk:",
-            "topk:-1",
-            "topk:zero",
-            "slack:2.0",
-            "slack:-0.1",
-            "slack:wat",
-            "off,exact",
-            "exact,off",
-        ] {
-            assert!(PruningConfig::parse(bad).is_err(), "{bad:?} must fail");
-        }
-        // Empty and whitespace specs mean "no change requested" → off.
-        assert_eq!(PruningConfig::parse("").unwrap(), PruningConfig::off());
-        assert_eq!(PruningConfig::parse(" , ").unwrap(), PruningConfig::off());
-    }
-
-    #[test]
-    fn slack_composes_with_the_exactness_guard() {
-        assert_eq!(PruningConfig::exact().slack(), PRUNE_SLACK);
-        let p = PruningConfig {
-            bound_slack: 0.25,
-            ..PruningConfig::exact()
-        };
-        assert!((p.slack() - (PRUNE_SLACK + 0.25)).abs() < 1e-15);
-        let negative = PruningConfig {
-            bound_slack: -1.0,
-            ..PruningConfig::exact()
-        };
-        assert_eq!(negative.slack(), PRUNE_SLACK);
-    }
-
-    #[test]
-    fn density_prefers_related_candidates() {
-        let sn = mini_wordnet();
-        // In a movie context, the actors sense of "cast" shares far more
-        // neighborhood with star/picture than the mold sense does.
-        let context = [id("star.performer"), id("film.movie"), id("kelly.grace")];
-        let related = density_score(sn, id("cast.actors"), &context);
-        let unrelated = density_score(sn, id("cast.mold"), &context);
-        assert!(related > unrelated, "{related} <= {unrelated}");
-    }
-
-    #[test]
-    fn keep_mask_preserves_original_order_and_size() {
-        let sn = mini_wordnet();
-        let candidates = [
-            id("cast.mold"),
-            id("cast.actors"),
-            id("cast.throw"),
-            id("cast.plaster"),
-        ];
-        let context = [id("star.performer"), id("film.movie")];
-        let keep = density_keep_mask(sn, &candidates, &context, 2);
-        assert_eq!(keep.len(), candidates.len());
-        assert_eq!(keep.iter().filter(|&&k| k).count(), 2);
-        // The coherent sense must survive a K=2 screen in this context.
-        assert!(keep[1], "cast.actors must be kept: {keep:?}");
-        // K >= len keeps everything.
-        let all = density_keep_mask(sn, &candidates, &context, 4);
-        assert!(all.iter().all(|&k| k));
-    }
-
-    #[test]
-    fn keep_mask_breaks_ties_toward_earlier_candidates() {
-        let sn = mini_wordnet();
-        // Empty context: every candidate scores 0 — the screen must keep
-        // the first K, mirroring the pipeline's keep-first contract.
-        let candidates = [id("cast.mold"), id("cast.actors"), id("cast.throw")];
-        let keep = density_keep_mask(sn, &candidates, &[], 2);
-        assert_eq!(keep, vec![true, true, false]);
-    }
-
-    #[test]
-    fn compound_cap_is_near_sqrt() {
-        assert_eq!(compound_side_cap(1), 1);
-        assert_eq!(compound_side_cap(4), 2);
-        assert_eq!(compound_side_cap(5), 3);
-        assert_eq!(compound_side_cap(9), 3);
-        assert_eq!(compound_side_cap(0), 1);
-    }
-}

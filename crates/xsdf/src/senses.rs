@@ -10,6 +10,8 @@ use semnet::{ConceptId, SemanticNetwork};
 use xmltree::tree::ValueTokenizer;
 use xmltree::{NodeId, NodeKind, XmlTree};
 
+use crate::pipeline::SenseChoice;
+
 /// The candidate senses of one node label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SenseCandidates {
@@ -48,6 +50,29 @@ impl SenseCandidates {
             Self::Single(senses) => (senses.len(), None),
             Self::Compound { first, second } => (first.len(), Some(second.len())),
         }
+    }
+
+    /// Every candidate in scoring order, with its cost in sense-pair
+    /// budget units: a sense costs one, a compound pair two (it scores
+    /// both token senses against the context, per Equation 10). A
+    /// compound with one token unknown to the lexicon falls back to the
+    /// other token's senses, one unit each.
+    pub fn choices(&self) -> impl Iterator<Item = (SenseChoice, u64)> + '_ {
+        // Single senses, then the two sides of a pair product.
+        let (singles, first, second): (&[ConceptId], &[ConceptId], &[ConceptId]) = match self {
+            Self::Unknown => (&[], &[], &[]),
+            Self::Single(senses) => (senses, &[], &[]),
+            Self::Compound { first, second } if first.is_empty() => (second, &[], &[]),
+            Self::Compound { first, second } if second.is_empty() => (first, &[], &[]),
+            Self::Compound { first, second } => (&[], first, second),
+        };
+        let pairs = first
+            .iter()
+            .flat_map(move |&a| second.iter().map(move |&b| (SenseChoice::Pair(a, b), 2)));
+        singles
+            .iter()
+            .map(|&s| (SenseChoice::Single(s), 1))
+            .chain(pairs)
     }
 }
 

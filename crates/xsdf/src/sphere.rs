@@ -50,7 +50,7 @@ pub fn struct_factor_weighted(cost: f64, budget: f64) -> f64 {
 /// `Struct = struct_factor(0, radius)` (≡ 1, ring `R_0`), each context
 /// node at its precomputed proximity factor, and every contribution is
 /// scaled by `2/(|S_d(x)| + 1)` with the center counted in `|S_d(x)|`.
-fn assemble_xml_context_vector(
+pub(crate) fn assemble_xml_context_vector(
     tree: &XmlTree,
     center: NodeId,
     radius: u32,
@@ -77,14 +77,37 @@ pub fn xml_sphere(tree: &XmlTree, center: NodeId, radius: u32) -> Vec<(NodeId, u
     sphere(tree, center, radius)
 }
 
+/// One walk of the sphere `S_d(x)` under `policy`: each context node with
+/// its proximity factor `Struct(x_i)` — [`struct_factor`] over edge
+/// counts, [`struct_factor_weighted`] over weighted path costs. Callers
+/// that need both the sphere's nodes and its context vector feed this to
+/// [`assemble_xml_context_vector`] instead of walking twice.
+/// [`DistancePolicy::EdgeCount`] takes the breadth-first walk, skipping
+/// Dijkstra; its costs are the plain edge counts, so the factors agree
+/// bit for bit.
+pub(crate) fn xml_sphere_factors(
+    tree: &XmlTree,
+    center: NodeId,
+    radius: u32,
+    policy: DistancePolicy,
+) -> Vec<(NodeId, f64)> {
+    if policy == DistancePolicy::EdgeCount {
+        return xml_sphere(tree, center, radius)
+            .into_iter()
+            .map(|(node, dist)| (node, struct_factor(dist, radius)))
+            .collect();
+    }
+    let budget = radius as f64;
+    xml_sphere_weighted(tree, center, radius, policy)
+        .into_iter()
+        .map(|(node, cost)| (node, struct_factor_weighted(cost, budget)))
+        .collect()
+}
+
 /// The XML context vector `V_d(x)` of Definitions 6–7, including the
 /// center's label at distance 0.
 pub fn xml_context_vector(tree: &XmlTree, center: NodeId, radius: u32) -> SparseVector {
-    let entries: Vec<(NodeId, f64)> = xml_sphere(tree, center, radius)
-        .into_iter()
-        .map(|(node, dist)| (node, struct_factor(dist, radius)))
-        .collect();
-    assemble_xml_context_vector(tree, center, radius, &entries)
+    xml_context_vector_weighted(tree, center, radius, DistancePolicy::EdgeCount)
 }
 
 /// The sphere neighborhood under an alternative [`DistancePolicy`]
@@ -104,22 +127,14 @@ pub fn xml_sphere_weighted(
 /// [`struct_factor_weighted`] over weighted path costs. Both paths share
 /// one assembly (center at `Struct = 1`, scale `2/(|S| + 1)`, no
 /// clamping), so with [`DistancePolicy::EdgeCount`] — where costs are the
-/// plain edge counts — it equals [`xml_context_vector`] bit for bit; the
-/// shortcut below only skips the Dijkstra walk.
+/// plain edge counts — it equals [`xml_context_vector`] bit for bit.
 pub fn xml_context_vector_weighted(
     tree: &XmlTree,
     center: NodeId,
     radius: u32,
     policy: DistancePolicy,
 ) -> SparseVector {
-    if policy == DistancePolicy::EdgeCount {
-        return xml_context_vector(tree, center, radius);
-    }
-    let budget = radius as f64;
-    let entries: Vec<(NodeId, f64)> = xml_sphere_weighted(tree, center, radius, policy)
-        .into_iter()
-        .map(|(node, cost)| (node, struct_factor_weighted(cost, budget)))
-        .collect();
+    let entries = xml_sphere_factors(tree, center, radius, policy);
     assemble_xml_context_vector(tree, center, radius, &entries)
 }
 

@@ -59,5 +59,7 @@ fn repeated_context_labels_add_no_pair_lookups() {
             "k = {k} <star/> siblings must cost what k = 2 costs"
         );
     }
-    assert_eq!(stored, 128, "distinct sense pairs scored");
+    // The scoring loop's exact early exit abandons hopeless candidates
+    // before their last context entry, so fewer pairs are ever scored.
+    assert_eq!(stored, 119, "distinct sense pairs scored");
 }
