@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the pipeline stages: parsing, tree construction,
 //! ambiguity scoring, sphere/vector construction, the three similarity
-//! measures, and end-to-end disambiguation of single documents.
+//! measures and their combination on a cache hit and on a miss, and
+//! end-to-end disambiguation of single documents.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -104,6 +105,22 @@ fn similarity_measures(c: &mut Criterion) {
     group.bench_function("combined_cached", |b| {
         let sim = semsim::CombinedSimilarity::default();
         b.iter(|| black_box(sim.similarity(sn, a, b_)))
+    });
+    // The miss path: every sense of "star" against every sense of "cast",
+    // through a fresh measure each iteration so each pair runs the one
+    // subsumer search and all three kernels.
+    let pairs: Vec<_> = sn
+        .senses("star")
+        .iter()
+        .flat_map(|&x| sn.senses("cast").iter().map(move |&y| (x, y)))
+        .collect();
+    group.bench_function("combined_miss", |b| {
+        b.iter(|| {
+            let sim = semsim::CombinedSimilarity::default();
+            for &(x, y) in &pairs {
+                black_box(sim.similarity(sn, x, y));
+            }
+        })
     });
     group.finish();
 }

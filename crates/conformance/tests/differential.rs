@@ -254,6 +254,26 @@ fn sample_pairs(
 #[test]
 fn similarity_measures_agree_on_sampled_pairs() {
     let sn = network();
+    // The lowest-common-subsumer search both taxonomy measures read, exact:
+    // on the dense sample plus every pair touching a concept with two or
+    // more upward edges, where the minimal distance depends on the path.
+    let multi: Vec<ConceptId> = sn
+        .all_concepts()
+        .filter(|&c| sn.edges(c).iter().filter(|(k, _)| k.is_upward()).count() >= 2)
+        .collect();
+    assert!(!multi.is_empty(), "the network has multiple inheritance");
+    let mut pairs = sample_pairs(sn, 2, 3);
+    for &m in &multi {
+        pairs.extend(sn.all_concepts().flat_map(|c| [(m, c), (c, m)]));
+    }
+    for (a, b) in pairs {
+        let o = semnet::graph::common_subsumer(sn, a, b).map(|s| (s.lcs, s.dist_a, s.dist_b));
+        let r = ref_sim::lowest_common_subsumer(sn, a, b).map(|lcs| {
+            let dist = |c| ref_sim::ancestors_with_distance(sn, c)[&lcs];
+            (lcs, dist(a), dist(b))
+        });
+        assert_eq!(o, r, "common_subsumer({a:?}, {b:?})");
+    }
     // Edge and node measures are cheap enough for a dense sample.
     for (a, b) in sample_pairs(sn, 2, 3) {
         let o = semsim::wu_palmer(sn, a, b);

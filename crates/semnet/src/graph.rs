@@ -8,21 +8,70 @@ use crate::model::{ConceptId, RelationKind};
 use crate::network::SemanticNetwork;
 
 /// All is-a ancestors of a concept with their minimal hypernym-path
-/// distances, including the concept itself at distance 0.
-pub fn ancestors_with_distance(sn: &SemanticNetwork, c: ConceptId) -> HashMap<ConceptId, u32> {
-    let mut out = HashMap::new();
-    let mut queue = VecDeque::new();
-    out.insert(c, 0);
-    queue.push_back((c, 0u32));
-    while let Some((node, d)) = queue.pop_front() {
+/// distances, in breadth-first order: the concept itself first at
+/// distance 0, then each ancestor at the first (shortest) distance the
+/// walk reaches it.
+///
+/// This is the crate's one ancestor walk; subsumption, taxonomy path
+/// lengths and the lowest common subsumer all read it. An ancestry is a
+/// few dozen concepts at most, so the list doubles as the BFS queue and
+/// a linear scan is the membership test.
+pub fn ancestors(sn: &SemanticNetwork, c: ConceptId) -> Vec<(ConceptId, u32)> {
+    // Room for a typical ancestry (a WordNet noun sits about a dozen
+    // hypernyms deep), so the walk rarely regrows the list.
+    let mut out = Vec::with_capacity(16);
+    out.push((c, 0));
+    let mut next = 0;
+    while let Some(&(node, d)) = out.get(next) {
+        next += 1;
         for parent in sn.hypernyms(node) {
-            if let std::collections::hash_map::Entry::Vacant(e) = out.entry(parent) {
-                e.insert(d + 1);
-                queue.push_back((parent, d + 1));
+            if !out.iter().any(|&(seen, _)| seen == parent) {
+                out.push((parent, d + 1));
             }
         }
     }
     out
+}
+
+/// The lowest common subsumer of two concepts together with each
+/// concept's minimal is-a distance to it: everything Wu–Palmer and Lin
+/// similarity read from the taxonomy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Subsumer {
+    /// The shared is-a ancestor with maximal taxonomy depth, ties broken
+    /// toward the smallest concept id.
+    pub lcs: ConceptId,
+    /// Minimal is-a edges from the first concept up to `lcs`.
+    pub dist_a: u32,
+    /// Minimal is-a edges from the second concept up to `lcs`.
+    pub dist_b: u32,
+}
+
+/// The ancestors two concepts share, each with its minimal distance from
+/// `a` and from `b`, from one walk up each side.
+fn shared_ancestors(
+    sn: &SemanticNetwork,
+    a: ConceptId,
+    b: ConceptId,
+) -> impl Iterator<Item = (ConceptId, u32, u32)> {
+    let anc_b = ancestors(sn, b);
+    ancestors(sn, a).into_iter().filter_map(move |(c, da)| {
+        let &(_, db) = anc_b.iter().find(|&&(cb, _)| cb == c)?;
+        Some((c, da, db))
+    })
+}
+
+/// The lowest common subsumer of `a` and `b` with both minimal
+/// distances to it. `None` when the concepts share no ancestor
+/// (different taxonomy roots).
+pub fn common_subsumer(sn: &SemanticNetwork, a: ConceptId, b: ConceptId) -> Option<Subsumer> {
+    shared_ancestors(sn, a, b)
+        .max_by_key(|&(c, _, _)| (sn.depth(c), std::cmp::Reverse(c)))
+        .map(|(lcs, dist_a, dist_b)| Subsumer {
+            lcs,
+            dist_a,
+            dist_b,
+        })
 }
 
 /// The lowest common subsumer (LCS) of two concepts: the shared is-a
@@ -33,29 +82,19 @@ pub fn lowest_common_subsumer(
     a: ConceptId,
     b: ConceptId,
 ) -> Option<ConceptId> {
-    let anc_a = ancestors_with_distance(sn, a);
-    let anc_b = ancestors_with_distance(sn, b);
-    anc_a
-        .keys()
-        .filter(|c| anc_b.contains_key(c))
-        .copied()
-        .max_by_key(|&c| (sn.depth(c), std::cmp::Reverse(c)))
+    common_subsumer(sn, a, b).map(|s| s.lcs)
 }
 
 /// Length (in edges) of the shortest is-a path between two concepts going
-/// through their LCS, the path length used by edge-based similarity.
+/// through a shared ancestor, the path length used by edge-based
+/// similarity.
 pub fn taxonomy_path_length(sn: &SemanticNetwork, a: ConceptId, b: ConceptId) -> Option<u32> {
-    let anc_a = ancestors_with_distance(sn, a);
-    let anc_b = ancestors_with_distance(sn, b);
-    anc_a
-        .iter()
-        .filter_map(|(c, da)| anc_b.get(c).map(|db| da + db))
-        .min()
+    shared_ancestors(sn, a, b).map(|(_, da, db)| da + db).min()
 }
 
 /// `true` if `ancestor` subsumes `c` (is an is-a ancestor of it, or equal).
 pub fn subsumes(sn: &SemanticNetwork, ancestor: ConceptId, c: ConceptId) -> bool {
-    ancestors_with_distance(sn, c).contains_key(&ancestor)
+    ancestors(sn, c).iter().any(|&(x, _)| x == ancestor)
 }
 
 /// Which relation kinds a semantic sphere traversal may cross.
@@ -187,10 +226,14 @@ mod tests {
     fn ancestors_include_self_at_zero() {
         let sn = taxonomy();
         let star = id(&sn, "star");
-        let anc = ancestors_with_distance(&sn, star);
-        assert_eq!(anc[&star], 0);
-        assert_eq!(anc[&id(&sn, "actor")], 1);
-        assert_eq!(anc[&id(&sn, "entity")], 3);
+        let keys: Vec<_> = ancestors(&sn, star)
+            .into_iter()
+            .map(|(c, d)| (sn.concept(c).key.as_str(), d))
+            .collect();
+        assert_eq!(
+            keys,
+            [("star", 0), ("actor", 1), ("person", 2), ("entity", 3)]
+        );
     }
 
     #[test]
@@ -219,6 +262,99 @@ mod tests {
         let sn = taxonomy();
         let lcs = lowest_common_subsumer(&sn, id(&sn, "star"), id(&sn, "person")).unwrap();
         assert_eq!(sn.concept(lcs).key, "person");
+    }
+
+    #[test]
+    fn common_subsumer_carries_both_distances() {
+        let sn = taxonomy();
+        let at = |a: &str, b: &str| {
+            let s = common_subsumer(&sn, id(&sn, a), id(&sn, b)).unwrap();
+            (sn.concept(s.lcs).key.as_str(), s.dist_a, s.dist_b)
+        };
+        assert_eq!(at("star", "clown"), ("actor", 1, 1));
+        assert_eq!(at("star", "vehicle"), ("entity", 3, 2));
+        assert_eq!(at("star", "person"), ("person", 2, 0));
+        assert_eq!(at("person", "star"), ("person", 0, 2));
+        assert_eq!(at("star", "star"), ("star", 0, 0));
+    }
+
+    /// root → { x → y → { z, other }, w, p, q }, with `leaf` under both z
+    /// and w, and `m`, `n` each under both p and q.
+    fn multiple_inheritance() -> SemanticNetwork {
+        let mut b = NetworkBuilder::new();
+        b.concept("root", &["root"], "", 1, PartOfSpeech::Noun);
+        for (key, parent) in [
+            ("x", "root"),
+            ("y", "x"),
+            ("z", "y"),
+            ("w", "root"),
+            ("leaf", "z"),
+            ("other", "y"),
+            ("p", "root"),
+            ("q", "root"),
+            ("m", "p"),
+            ("n", "q"),
+        ] {
+            b.noun(key, &[key], "", 1, parent);
+        }
+        b.relate("leaf", RelationKind::Hypernym, "w");
+        b.relate("m", RelationKind::Hypernym, "q");
+        b.relate("n", RelationKind::Hypernym, "p");
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn ancestor_distances_are_minimal_under_multiple_inheritance() {
+        let sn = multiple_inheritance();
+        let leaf = id(&sn, "leaf");
+        let dist = |key: &str| {
+            ancestors(&sn, leaf)
+                .into_iter()
+                .find(|&(c, _)| c == id(&sn, key))
+                .map(|(_, d)| d)
+        };
+        // root is 2 up through w, not 4 up through z → y → x.
+        assert_eq!(dist("root"), Some(2));
+        assert_eq!(dist("y"), Some(2));
+        assert_eq!(dist("x"), Some(3));
+        assert_eq!(dist("other"), None);
+    }
+
+    #[test]
+    fn common_subsumer_is_deepest_shared_ancestor_under_multiple_inheritance() {
+        let sn = multiple_inheritance();
+        let (leaf, other) = (id(&sn, "leaf"), id(&sn, "other"));
+        // Shared: y (depth 2), x (1), root (0); y is deepest.
+        assert_eq!(
+            common_subsumer(&sn, leaf, other),
+            Some(Subsumer {
+                lcs: id(&sn, "y"),
+                dist_a: 2,
+                dist_b: 1,
+            })
+        );
+        // The shortest path runs through y as well: 2 + 1.
+        assert_eq!(taxonomy_path_length(&sn, leaf, other), Some(3));
+        assert!(subsumes(&sn, id(&sn, "w"), leaf));
+        assert!(!subsumes(&sn, id(&sn, "w"), other));
+    }
+
+    #[test]
+    fn common_subsumer_ties_go_to_the_smallest_id() {
+        let sn = multiple_inheritance();
+        let (m, n, p) = (id(&sn, "m"), id(&sn, "n"), id(&sn, "p"));
+        // p and q are both depth-1 shared parents; p was added first.
+        assert!(p < id(&sn, "q"));
+        for (a, b) in [(m, n), (n, m)] {
+            assert_eq!(
+                common_subsumer(&sn, a, b),
+                Some(Subsumer {
+                    lcs: p,
+                    dist_a: 1,
+                    dist_b: 1,
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,35 +1,79 @@
 //! Property-based tests for the semantic network: builder validation,
 //! format round-trips, and graph-query invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use xsdf_semnet::graph::{
-    ancestors_with_distance, concept_sphere, lowest_common_subsumer, taxonomy_path_length,
+    ancestors, common_subsumer, concept_sphere, lowest_common_subsumer, taxonomy_path_length,
     RelationFilter,
 };
 use xsdf_semnet::{mini_wordnet, ConceptId, NetworkBuilder, PartOfSpeech, RelationKind};
 
-/// Strategy: a random small taxonomy (forest of is-a trees).
-fn arb_taxonomy() -> impl Strategy<Value = xsdf_semnet::SemanticNetwork> {
-    // parents[i] < i or none → acyclic by construction.
-    proptest::collection::vec(proptest::option::of(0usize..50), 1..40).prop_map(|parents| {
-        let mut b = NetworkBuilder::new();
-        for (i, parent) in parents.iter().enumerate() {
-            b.concept(
-                &format!("c{i}"),
-                &[&format!("w{i}"), &format!("shared{}", i % 5)],
-                &format!("gloss for concept number {i} in the random taxonomy"),
-                (i as u32 % 17) + 1,
-                PartOfSpeech::Noun,
-            );
-            if let Some(p) = parent {
-                let p = p % (i.max(1));
-                if p < i {
-                    b.relate(&format!("c{i}"), RelationKind::Hypernym, &format!("c{p}"));
+/// A taxonomy of concepts `c0, c1, …` where concept `i` takes is-a
+/// parents from its entry in `parents`, each reduced below `i` (so the
+/// graph is acyclic by construction).
+fn taxonomy(parents: &[(Option<usize>, Option<usize>)]) -> xsdf_semnet::SemanticNetwork {
+    let mut b = NetworkBuilder::new();
+    for (i, (parent, second)) in parents.iter().enumerate() {
+        b.concept(
+            &format!("c{i}"),
+            &[&format!("w{i}"), &format!("shared{}", i % 5)],
+            &format!("gloss for concept number {i} in the random taxonomy"),
+            (i as u32 % 17) + 1,
+            PartOfSpeech::Noun,
+        );
+        if let Some(p) = parent {
+            let p = p % (i.max(1));
+            if p < i {
+                b.relate(&format!("c{i}"), RelationKind::Hypernym, &format!("c{p}"));
+                if let Some(q) = second {
+                    let q = q % i;
+                    b.relate(&format!("c{i}"), RelationKind::Hypernym, &format!("c{q}"));
                 }
             }
         }
-        b.build().expect("acyclic by construction")
+    }
+    b.build().expect("acyclic by construction")
+}
+
+/// Strategy: a random small forest of is-a trees.
+fn arb_forest() -> impl Strategy<Value = xsdf_semnet::SemanticNetwork> {
+    proptest::collection::vec(proptest::option::of(0usize..50), 1..40).prop_map(|parents| {
+        let parents: Vec<_> = parents.into_iter().map(|p| (p, None)).collect();
+        taxonomy(&parents)
     })
+}
+
+/// Strategy: a random small taxonomy in which about half the concepts
+/// with a parent also have a second one (multiple inheritance, as WordNet
+/// has), so minimal ancestor distances depend on the path taken.
+fn arb_taxonomy() -> impl Strategy<Value = xsdf_semnet::SemanticNetwork> {
+    let parents = (
+        proptest::option::of(0usize..50),
+        proptest::option::of(0usize..50),
+    );
+    proptest::collection::vec(parents, 1..40).prop_map(|parents| taxonomy(&parents))
+}
+
+/// Minimal is-a distances from `c` to each of its ancestors, relaxed to a
+/// fixpoint over upward edges — an independent check on the BFS.
+fn relaxed_distances(sn: &xsdf_semnet::SemanticNetwork, c: ConceptId) -> BTreeMap<ConceptId, u32> {
+    let mut dist = BTreeMap::from([(c, 0)]);
+    loop {
+        let mut changed = false;
+        for (node, d) in dist.clone() {
+            for parent in sn.hypernyms(node) {
+                if dist.get(&parent).is_none_or(|&old| d + 1 < old) {
+                    dist.insert(parent, d + 1);
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return dist;
+        }
+    }
 }
 
 /// Separator-heavy fragments of the kinds that historically corrupted the
@@ -121,11 +165,10 @@ proptest! {
     #[test]
     fn depth_is_min_ancestor_distance(sn in arb_taxonomy()) {
         for id in sn.all_concepts() {
-            let anc = ancestors_with_distance(&sn, id);
-            let min_root = anc
-                .iter()
-                .filter(|(c, _)| sn.hypernyms(**c).next().is_none())
-                .map(|(_, d)| *d)
+            let min_root = ancestors(&sn, id)
+                .into_iter()
+                .filter(|&(c, _)| sn.hypernyms(c).next().is_none())
+                .map(|(_, d)| d)
                 .min();
             prop_assert_eq!(Some(sn.depth(id)), min_root);
         }
@@ -138,13 +181,47 @@ proptest! {
         for &a in nodes.iter().take(6) {
             for &b in nodes.iter().rev().take(6) {
                 if let Some(lcs) = lowest_common_subsumer(&sn, a, b) {
-                    let anc_a = ancestors_with_distance(&sn, a);
-                    let anc_b = ancestors_with_distance(&sn, b);
-                    prop_assert!(anc_a.contains_key(&lcs));
-                    prop_assert!(anc_b.contains_key(&lcs));
-                    for c in anc_a.keys().filter(|c| anc_b.contains_key(c)) {
+                    let anc_a: Vec<ConceptId> =
+                        ancestors(&sn, a).into_iter().map(|(c, _)| c).collect();
+                    let anc_b: Vec<ConceptId> =
+                        ancestors(&sn, b).into_iter().map(|(c, _)| c).collect();
+                    prop_assert!(anc_a.contains(&lcs));
+                    prop_assert!(anc_b.contains(&lcs));
+                    for c in anc_a.iter().filter(|c| anc_b.contains(c)) {
                         prop_assert!(sn.depth(*c) <= sn.depth(lcs));
                     }
+                }
+            }
+        }
+    }
+
+    /// Swapping the arguments keeps the subsumer and swaps its distances.
+    #[test]
+    fn common_subsumer_is_symmetric(sn in arb_taxonomy()) {
+        let nodes: Vec<ConceptId> = sn.all_concepts().collect();
+        for &a in nodes.iter().take(8) {
+            for &b in nodes.iter().rev().take(8) {
+                let direct = common_subsumer(&sn, a, b).map(|s| (s.lcs, s.dist_a, s.dist_b));
+                let swapped = common_subsumer(&sn, b, a).map(|s| (s.lcs, s.dist_b, s.dist_a));
+                prop_assert_eq!(swapped, direct);
+            }
+        }
+    }
+
+    /// The walk's distances are the minimal ones: they match a
+    /// relax-to-fixpoint computation for every ancestor, and so for the
+    /// subsumer.
+    #[test]
+    fn walk_distances_are_minimal(sn in arb_taxonomy()) {
+        let relaxed: Vec<BTreeMap<ConceptId, u32>> =
+            sn.all_concepts().map(|c| relaxed_distances(&sn, c)).collect();
+        for a in sn.all_concepts() {
+            let walked: BTreeMap<ConceptId, u32> = ancestors(&sn, a).into_iter().collect();
+            prop_assert_eq!(&walked, &relaxed[a.index()]);
+            for b in sn.all_concepts() {
+                if let Some(s) = common_subsumer(&sn, a, b) {
+                    prop_assert_eq!(Some(&s.dist_a), relaxed[a.index()].get(&s.lcs));
+                    prop_assert_eq!(Some(&s.dist_b), relaxed[b.index()].get(&s.lcs));
                 }
             }
         }
@@ -179,8 +256,11 @@ proptest! {
     }
 
     /// Cumulative frequencies dominate own frequencies and IC is finite.
+    /// On forests only: under multiple inheritance a descendant counts once
+    /// per downward path, so a cumulative frequency can exceed the total
+    /// and push IC below 0.
     #[test]
-    fn cumulative_frequency_dominates(sn in arb_taxonomy()) {
+    fn cumulative_frequency_dominates(sn in arb_forest()) {
         for id in sn.all_concepts() {
             prop_assert!(sn.cumulative_frequency(id) >= sn.frequency(id) as u64);
             let ic = sn.information_content(id);

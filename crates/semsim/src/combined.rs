@@ -9,12 +9,13 @@
 
 use std::cell::Cell;
 
+use semnet::graph::common_subsumer;
 use semnet::{ConceptId, SemanticNetwork};
 
 use crate::cache::{LocalCache, SimilarityCache, WeightsFingerprint};
-use crate::edge::wu_palmer;
+use crate::edge::wu_palmer_from;
 use crate::gloss::extended_gloss_overlap;
-use crate::node::lin;
+use crate::node::lin_from;
 
 /// Weights of the three constituent measures. Constructed through
 /// [`SimilarityWeights::new`], which normalizes to sum 1.
@@ -174,12 +175,19 @@ impl<C: SimilarityCache> CombinedSimilarity<C> {
             return v;
         }
         let w = self.weights;
+        // Wu–Palmer and Lin read the same lowest common subsumer: one
+        // taxonomy walk per miss feeds both.
+        let subsumer = if a != b && (w.edge > 0.0 || w.node > 0.0) {
+            common_subsumer(sn, a, b)
+        } else {
+            None
+        };
         let mut score = 0.0;
         if w.edge > 0.0 {
-            score += w.edge * wu_palmer(sn, a, b);
+            score += w.edge * wu_palmer_from(sn, a, b, subsumer);
         }
         if w.node > 0.0 {
-            score += w.node * lin(sn, a, b);
+            score += w.node * lin_from(sn, a, b, subsumer);
         }
         if w.gloss > 0.0 {
             score += w.gloss * extended_gloss_overlap(sn, a, b);
@@ -212,6 +220,8 @@ impl Default for CombinedSimilarity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge::wu_palmer;
+    use crate::node::lin;
     use semnet::mini_wordnet;
 
     fn id(key: &str) -> ConceptId {
@@ -244,8 +254,8 @@ mod tests {
         let sn = mini_wordnet();
         let (a, b) = (id("cast.actors"), id("star.performer"));
         let e = wu_palmer(sn, a, b);
-        let n = crate::node::lin(sn, a, b);
-        let g = crate::gloss::extended_gloss_overlap(sn, a, b);
+        let n = lin(sn, a, b);
+        let g = extended_gloss_overlap(sn, a, b);
         let sim = CombinedSimilarity::default().similarity(sn, a, b);
         let lo = e.min(n).min(g);
         let hi = e.max(n).max(g);
@@ -262,7 +272,49 @@ mod tests {
         let edge_only = CombinedSimilarity::new(SimilarityWeights::edge_only());
         assert!((edge_only.similarity(sn, a, b) - wu_palmer(sn, a, b)).abs() < 1e-12);
         let node_only = CombinedSimilarity::new(SimilarityWeights::node_only());
-        assert!((node_only.similarity(sn, a, b) - crate::node::lin(sn, a, b)).abs() < 1e-12);
+        assert!((node_only.similarity(sn, a, b) - lin(sn, a, b)).abs() < 1e-12);
+    }
+
+    /// Pairs covering every concept of the network, every concept with two
+    /// or more is-a parents against a spread of others, and identical
+    /// concepts.
+    fn covering_pairs(sn: &SemanticNetwork) -> Vec<(ConceptId, ConceptId)> {
+        let all: Vec<ConceptId> = sn.all_concepts().collect();
+        let n = all.len();
+        let mut pairs: Vec<_> = (0..n).map(|i| (all[i], all[(7 * i + 1) % n])).collect();
+        pairs.extend(all.iter().step_by(13).map(|&c| (c, c)));
+        for &m in all.iter().filter(|&&c| sn.hypernyms(c).count() >= 2) {
+            pairs.extend(all.iter().step_by(5).map(|&c| (m, c)));
+        }
+        pairs
+    }
+
+    #[test]
+    fn one_subsumer_search_scores_bit_identically_to_the_separate_kernels() {
+        let sn = mini_wordnet();
+        let pairs = covering_pairs(sn);
+        for w in [
+            SimilarityWeights::equal(),
+            SimilarityWeights::edge_only(),
+            SimilarityWeights::node_only(),
+            SimilarityWeights::gloss_only(),
+            SimilarityWeights::new(0.5, 0.3, 0.2).unwrap(),
+        ] {
+            let sim = CombinedSimilarity::new(w);
+            for &(a, b) in &pairs {
+                // Definition 9 summed in the measure's order: edge, node, gloss.
+                let expected = (0.0
+                    + w.edge * wu_palmer(sn, a, b)
+                    + w.node * lin(sn, a, b)
+                    + w.gloss * extended_gloss_overlap(sn, a, b))
+                .clamp(0.0, 1.0);
+                assert_eq!(
+                    sim.similarity(sn, a, b).to_bits(),
+                    expected.to_bits(),
+                    "{w:?}: ({a:?}, {b:?})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Edge-based similarity: Wu & Palmer (1994), the paper's `Sim_Edge`.
 
-use semnet::graph::{ancestors_with_distance, lowest_common_subsumer};
+use semnet::graph::{common_subsumer, Subsumer};
 use semnet::{ConceptId, SemanticNetwork};
 
 /// Wu–Palmer similarity:
@@ -10,23 +10,35 @@ use semnet::{ConceptId, SemanticNetwork};
 /// ```
 ///
 /// where `lcs` is the lowest common subsumer and `len` counts is-a edges.
-/// Ranges over `(0, 1]`, with 1 for identical concepts, and 0 when the
+/// Ranges over `[0, 1]`, with 1 for identical concepts, and 0 when the
 /// concepts share no taxonomy root.
 pub fn wu_palmer(sn: &SemanticNetwork, a: ConceptId, b: ConceptId) -> f64 {
     if a == b {
         return 1.0;
     }
-    let Some(lcs) = lowest_common_subsumer(sn, a, b) else {
+    wu_palmer_from(sn, a, b, common_subsumer(sn, a, b))
+}
+
+/// [`wu_palmer`] from `subsumer`, the [`common_subsumer`] of `a` and `b`
+/// (not read when `a == b`).
+pub(crate) fn wu_palmer_from(
+    sn: &SemanticNetwork,
+    a: ConceptId,
+    b: ConceptId,
+    subsumer: Option<Subsumer>,
+) -> f64 {
+    if a == b {
+        return 1.0;
+    }
+    let Some(s) = subsumer else {
         return 0.0;
     };
-    let depth_lcs = sn.depth(lcs);
+    let depth_lcs = sn.depth(s.lcs);
     if depth_lcs == u32::MAX {
         return 0.0;
     }
-    let anc_a = ancestors_with_distance(sn, a);
-    let anc_b = ancestors_with_distance(sn, b);
-    let la = anc_a.get(&lcs).copied().unwrap_or(0) as f64;
-    let lb = anc_b.get(&lcs).copied().unwrap_or(0) as f64;
+    let la = s.dist_a as f64;
+    let lb = s.dist_b as f64;
     let d = depth_lcs as f64;
     if la + lb + 2.0 * d == 0.0 {
         // Both concepts *are* the root.

@@ -2,7 +2,7 @@
 //! the statistical distribution of concept frequencies in the weighted
 //! network `S̄N` (Figure 2 of the paper).
 
-use semnet::graph::lowest_common_subsumer;
+use semnet::graph::{common_subsumer, lowest_common_subsumer, Subsumer};
 use semnet::{ConceptId, SemanticNetwork};
 
 /// Lin similarity:
@@ -12,16 +12,30 @@ use semnet::{ConceptId, SemanticNetwork};
 /// ```
 ///
 /// where `IC(c) = −ln p(c)` with `p` estimated from cumulative concept
-/// frequencies. Ranges over `\[0, 1\]`; 1 for identical concepts; 0 when the
+/// frequencies. Ranges over `[0, 1]`; 1 for identical concepts; 0 when the
 /// concepts share no subsumer or the subsumer carries no information.
 pub fn lin(sn: &SemanticNetwork, a: ConceptId, b: ConceptId) -> f64 {
     if a == b {
         return 1.0;
     }
-    let Some(lcs) = lowest_common_subsumer(sn, a, b) else {
+    lin_from(sn, a, b, common_subsumer(sn, a, b))
+}
+
+/// [`lin`] from `subsumer`, the [`common_subsumer`] of `a` and `b` (not
+/// read when `a == b`).
+pub(crate) fn lin_from(
+    sn: &SemanticNetwork,
+    a: ConceptId,
+    b: ConceptId,
+    subsumer: Option<Subsumer>,
+) -> f64 {
+    if a == b {
+        return 1.0;
+    }
+    let Some(s) = subsumer else {
         return 0.0;
     };
-    let ic_lcs = sn.information_content(lcs);
+    let ic_lcs = sn.information_content(s.lcs);
     let denom = sn.information_content(a) + sn.information_content(b);
     if denom <= 0.0 || ic_lcs <= 0.0 {
         return 0.0;

@@ -287,7 +287,8 @@ pub struct ServerSummary {
 pub struct Server<'sn> {
     sn: &'sn SemanticNetwork,
     config: ServerConfig,
-    listener: TcpListener,
+    /// Taken by [`Server::run`], which closes it when the acceptor stops.
+    listener: Mutex<Option<TcpListener>>,
     addr: SocketAddr,
     workers: usize,
     state: AtomicUsize,
@@ -315,7 +316,7 @@ impl<'sn> Server<'sn> {
         };
         Ok(Self {
             sn,
-            listener,
+            listener: Mutex::new(Some(listener)),
             addr,
             workers,
             state: AtomicUsize::new(RUNNING),
@@ -414,10 +415,20 @@ impl<'sn> Server<'sn> {
     /// thread per connection, and returns the final summary once a
     /// shutdown request (or [`ServerHandle::shutdown`]) has drained all
     /// in-flight work.
+    ///
+    /// # Panics
+    ///
+    /// If called a second time: the first run closed the listener.
     pub fn run(&self) -> ServerSummary {
+        let listener = self
+            .listener
+            .lock()
+            .expect("listener lock poisoned: it is held only for this take")
+            .take()
+            .expect("Server::run called twice");
         std::thread::scope(|scope| {
             loop {
-                let stream = match self.listener.accept() {
+                let stream = match listener.accept() {
                     Ok((stream, _peer)) => stream,
                     Err(_) if self.draining() => break,
                     Err(_) => continue,
@@ -439,6 +450,11 @@ impl<'sn> Server<'sn> {
                     self.conns_active.fetch_sub(1, Ordering::SeqCst);
                 });
             }
+            // Close the door before the drain barrier: the kernel resets
+            // connections it queued after the acceptor stopped and refuses
+            // new ones, instead of leaving them waiting on a listener that
+            // nobody accepts from.
+            drop(listener);
             // Scope exit joins every connection thread: the drain barrier.
         });
         self.state.store(STOPPED, Ordering::SeqCst);
