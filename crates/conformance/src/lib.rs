@@ -3,7 +3,7 @@
 //! Paper-conformance oracle for the XSDF reproduction (*Resolving XML
 //! Semantic Ambiguity*, EDBT 2015).
 //!
-//! The [`reference`] module reimplements every formula of the paper
+//! The [`mod@reference`] module reimplements every formula of the paper
 //! straight from its definitions — linguistic pre-processing (Section
 //! 3.2), ambiguity degrees (Propositions 1–3, Definition 3), sphere
 //! neighborhoods and context vectors (Definitions 4–7), the three

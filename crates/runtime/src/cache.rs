@@ -331,7 +331,7 @@ fn evict_coldest<K: Eq + Hash + Copy, V>(
 ///
 /// Implements [`SimilarityCache`], so a
 /// [`CombinedSimilarity`](semsim::CombinedSimilarity) scores straight
-/// through it: wrap the cache in an [`Arc`](std::sync::Arc) and hand each
+/// through it: wrap the cache in an [`Arc`] and hand each
 /// worker `CombinedSimilarity::with_cache(weights, Arc::clone(&cache))`.
 pub struct SharedCache {
     pairs: Table<PairKey, f64>,

@@ -99,20 +99,6 @@ impl From<ParseError> for XsdfError {
                 limit: u64::from(limit),
                 actual: u64::from(limit) + 1,
             },
-            // The streaming parser's in-scan bounds: like depth, these
-            // mean "too big", not "malformed". The parser stops at the
-            // first violation, so the observed value is limit + 1 (one
-            // byte/node too many).
-            ParseErrorKind::BytesExceeded { limit } => Self::LimitExceeded {
-                which: LimitKind::Bytes,
-                limit: limit as u64,
-                actual: limit as u64 + 1,
-            },
-            ParseErrorKind::NodesExceeded { limit } => Self::LimitExceeded {
-                which: LimitKind::Nodes,
-                limit: limit as u64,
-                actual: limit as u64 + 1,
-            },
             _ => Self::Parse(e),
         }
     }
@@ -156,36 +142,6 @@ mod tests {
                 which: LimitKind::Depth,
                 limit: 256,
                 actual: 257
-            }
-        ));
-    }
-
-    #[test]
-    fn stream_limit_parse_errors_classify_as_limits() {
-        use xmltree::stream::{parse_chunks, StreamLimits};
-        let byte_err =
-            parse_chunks(["<r>0123456789</r>"], StreamLimits::default().max_bytes(4)).unwrap_err();
-        let err = XsdfError::from(byte_err);
-        assert!(matches!(
-            err,
-            XsdfError::LimitExceeded {
-                which: LimitKind::Bytes,
-                limit: 4,
-                actual: 5
-            }
-        ));
-        let node_err = parse_chunks(
-            ["<r><a/><b/><c/></r>"],
-            StreamLimits::default().max_nodes(2),
-        )
-        .unwrap_err();
-        let err = XsdfError::from(node_err);
-        assert!(matches!(
-            err,
-            XsdfError::LimitExceeded {
-                which: LimitKind::Nodes,
-                limit: 2,
-                actual: 3
             }
         ));
     }

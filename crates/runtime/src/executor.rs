@@ -547,13 +547,7 @@ impl<'sn> BatchEngine<'sn> {
         }
         let stage_start = epoch.elapsed();
         let t = Instant::now();
-        let parsed = {
-            let mut parser = xmltree::parser::Parser::new(xml);
-            if let Some(depth) = self.limits.max_depth {
-                parser.max_depth = depth;
-            }
-            parser.parse_document()
-        };
+        let parsed = self.limits.parse(xml);
         let took = t.elapsed();
         stats.stages.parse += took;
         stats.latency.parse.record(took);

@@ -14,7 +14,7 @@
 //! which document, while count-based triggers ("the first 8 hits") would
 //! depend on scheduling.
 //!
-//! Configuration is programmatic ([`set`]/[`clear`]) or, for process-level
+//! Configuration is programmatic (`set`/`clear`) or, for process-level
 //! tests of the CLI binary, via the `XSDF_FAILPOINTS` environment
 //! variable, read once on first use:
 //!

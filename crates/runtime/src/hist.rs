@@ -21,7 +21,7 @@ const SUBBUCKETS: u64 = 1 << SUB_SHIFT;
 
 /// A log-bucketed histogram of [`Duration`] samples.
 ///
-/// Values below [`SUBBUCKETS`] nanoseconds are counted exactly (one
+/// Values below `SUBBUCKETS` (16) nanoseconds are counted exactly (one
 /// bucket per nanosecond); above that, buckets grow geometrically. The
 /// exact maximum is tracked on the side so [`Histogram::max`] is always
 /// precise, while [`Histogram::quantile`] is bucket-accurate (≤ 6.25%

@@ -6,10 +6,21 @@
 //! the expensive dimensions; the engine enforces the byte and depth bounds
 //! up front (before/while parsing) and threads the rest through
 //! [`xsdf::Guard`] as cooperative budget checks inside selection and
-//! scoring. The default is fully unlimited, preserving the historical
-//! behavior of [`crate::BatchEngine`].
+//! scoring. The default is unlimited in every dimension but nesting
+//! depth, which never exceeds [`MAX_DEPTH`].
 
+use xmltree::parser::Parser;
+use xmltree::Document;
 use xsdf::guard::{Deadline, Guard};
+
+use crate::XsdfError;
+
+/// The deepest element nesting any document may have. The parser and the
+/// tree builder recurse once per element: 256 levels run the whole
+/// pipeline on a 2 MiB thread stack in a debug build, while the release
+/// tree build overflows that stack between 3k and 4k levels. A
+/// [`ResourceLimits::max_depth`] may lower this ceiling, never raise it.
+pub const MAX_DEPTH: u32 = 256;
 
 /// Ceilings on what a single document may consume. `None` means unlimited.
 ///
@@ -31,8 +42,8 @@ pub struct ResourceLimits {
     /// Maximum number of nodes in the built tree.
     pub max_nodes: Option<usize>,
     /// Maximum element nesting depth, wired through to
-    /// [`xmltree::parser::Parser::max_depth`]. When unset the parser keeps
-    /// its own stack-overflow guard (256).
+    /// [`xmltree::parser::Parser::max_depth`] and capped at [`MAX_DEPTH`]
+    /// (see [`ResourceLimits::depth_bound`]). When unset the cap applies.
     pub max_depth: Option<u32>,
     /// Maximum number of selected disambiguation targets.
     pub max_targets: Option<usize>,
@@ -63,7 +74,8 @@ impl ResourceLimits {
         self
     }
 
-    /// Sets the element-nesting ceiling.
+    /// Sets the element-nesting ceiling. Values above [`MAX_DEPTH`] parse
+    /// as [`MAX_DEPTH`].
     pub fn max_depth(mut self, max: u32) -> Self {
         self.max_depth = Some(max);
         self
@@ -80,6 +92,27 @@ impl ResourceLimits {
     pub fn max_sense_pairs(mut self, max: u64) -> Self {
         self.max_sense_pairs = Some(max);
         self
+    }
+
+    /// The nesting bound documents are parsed with: `max_depth` capped at
+    /// [`MAX_DEPTH`], or [`MAX_DEPTH`] itself when unset.
+    pub fn depth_bound(&self) -> u32 {
+        self.max_depth.map_or(MAX_DEPTH, |max| max.min(MAX_DEPTH))
+    }
+
+    /// Parses one document with nesting bounded by
+    /// [`ResourceLimits::depth_bound`]; going deeper is a
+    /// [`XsdfError::LimitExceeded`], any other failure a parse error. The
+    /// byte bound is the caller's, checked before the text is parsed.
+    pub fn parse(&self, xml: &str) -> Result<Document, XsdfError> {
+        let mut parser = Parser::new(xml);
+        parser.max_depth = self.depth_bound();
+        Ok(parser.parse_document()?)
+    }
+
+    /// Checks a built tree's node count against `max_nodes`.
+    pub fn check_nodes(&self, nodes: usize) -> Result<(), XsdfError> {
+        Ok(self.guard(None).check_nodes(nodes)?)
     }
 
     /// The cooperative in-pipeline guard for one document: the node,
@@ -131,6 +164,14 @@ mod tests {
         let guard = limits.guard(None);
         assert!(guard.check_nodes(3).is_err());
         assert!(guard.check_targets(5).is_err());
+    }
+
+    #[test]
+    fn depth_bound_never_exceeds_the_ceiling() {
+        let limits = ResourceLimits::unlimited();
+        assert_eq!(limits.depth_bound(), MAX_DEPTH);
+        assert_eq!(limits.max_depth(16).depth_bound(), 16);
+        assert_eq!(limits.max_depth(MAX_DEPTH + 1).depth_bound(), MAX_DEPTH);
     }
 
     #[test]

@@ -97,6 +97,43 @@ fn parser_default_depth_guard_still_classifies_as_limit() {
 }
 
 #[test]
+fn a_raised_depth_limit_stops_at_the_ceiling() {
+    // `max_depth` above the ceiling is capped, so the parser still stops
+    // at 256 levels instead of recursing until the stack overflows.
+    let very_deep = pathological::deep_nesting(300);
+    let engine = engine()
+        .threads(1)
+        .limits(ResourceLimits::unlimited().max_depth(1_000_000));
+    match engine.process_document(&very_deep) {
+        Err(XsdfError::LimitExceeded {
+            which: LimitKind::Depth,
+            limit: 256,
+            ..
+        }) => {}
+        other => panic!("expected depth limit, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_document_at_the_depth_ceiling_runs_the_whole_pipeline_on_a_2_mib_stack() {
+    // `deep_nesting(n)` wraps n sections in one root: 256 levels in all.
+    let xml = pathological::deep_nesting(runtime::limits::MAX_DEPTH as usize - 1);
+    let annotated = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let result = engine()
+                .threads(1)
+                .process_document(&xml)
+                .expect("the ceiling itself is accepted");
+            result.semantic_tree.to_annotated_xml()
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow at the ceiling");
+    assert_eq!(annotated.matches("label=\"section\"").count(), 255);
+}
+
+#[test]
 fn target_limit_trips_on_hyper_polysemous_documents() {
     let poly = pathological::hyper_polysemous(8);
     let engine = engine()

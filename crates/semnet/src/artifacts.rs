@@ -13,11 +13,11 @@
 //! shared-neighbor intersection.
 //!
 //! The table hangs off [`SemanticNetwork::gloss_artifacts`] behind a
-//! [`OnceLock`], so serial callers pay the build cost on first use and
-//! concurrent batch workers share one build. Interning is order-stable
-//! (first occurrence wins), and every sequence preserves the exact token
-//! order the string-based pipeline produced, so id-space kernels reproduce
-//! string-space scores bit for bit.
+//! [`OnceLock`](std::sync::OnceLock), so serial callers pay the build
+//! cost on first use and concurrent batch workers share one build.
+//! Interning is order-stable (first occurrence wins), and every sequence
+//! preserves the exact token order the string-based pipeline produced, so
+//! id-space kernels reproduce string-space scores bit for bit.
 
 use std::collections::HashMap;
 

@@ -97,12 +97,13 @@ GEN-CORPUS OPTIONS:
     --seed <S>            stream seed                           [default: 42]
     --start <P>           first stream position                 [default: 0]
 
-RESOURCE OPTIONS (disambiguate + batch):
+RESOURCE OPTIONS (disambiguate + batch + serve; --max-* also ambiguity):
     --max-bytes <N>       reject documents larger than N bytes
                           (checked against the on-disk size before the
                           file is ever buffered)
     --max-nodes <N>       reject documents with more than N tree nodes
-    --max-depth <N>       reject element nesting deeper than N
+    --max-depth <N>       reject element nesting deeper than N; N may only
+                          lower the 256-level ceiling      [default: 256]
     --deadline-ms <N>     per-document wall-clock budget in milliseconds
 
 BATCH OPTIONS:
@@ -361,7 +362,8 @@ fn build_config(flags: &Flags) -> Result<XsdfConfig, String> {
     Ok(config)
 }
 
-/// Parses the shared resource-limit flags into engine settings.
+/// Parses the shared resource-limit flags into engine settings. A
+/// `--max-depth` may only lower the nesting ceiling, never raise it.
 fn build_limits(flags: &Flags) -> Result<(ResourceLimits, Option<Duration>), String> {
     let mut limits = ResourceLimits::unlimited();
     if let Some(max) = flags.parsed("--max-bytes")? {
@@ -372,6 +374,12 @@ fn build_limits(flags: &Flags) -> Result<(ResourceLimits, Option<Duration>), Str
     }
     if let Some(max) = flags.parsed("--max-depth")? {
         limits = limits.max_depth(max);
+        let ceiling = limits.depth_bound();
+        if max > ceiling {
+            return Err(format!(
+                "bad --max-depth value {max}: the ceiling is {ceiling}"
+            ));
+        }
     }
     let deadline = flags.parsed("--deadline-ms")?.map(Duration::from_millis);
     Ok((limits, deadline))
@@ -854,12 +862,15 @@ fn print_slow_docs(trace: &runtime::Trace, files: &[&str], threshold: Duration) 
 
 fn cmd_ambiguity(args: &[String]) -> Result<ExitCode, String> {
     let flags = Flags::new(args)?;
-    let (path, xml) = read_doc(&flags, &ResourceLimits::unlimited())?;
+    let (limits, _) = build_limits(&flags)?;
+    let (path, xml) = read_doc(&flags, &limits)?;
     let network = load_network(&flags)?;
     let sn = network.get();
-    let doc = xmltree::parse(&xml).map_err(|e| format!("{path}: {e}"))?;
+    let failed = |e: XsdfError| format!("{path}: [{}] {e}", e.kind());
+    let doc = limits.parse(&xml).map_err(failed)?;
     let framework = Xsdf::new(sn, XsdfConfig::default());
     let tree = framework.build_tree(&doc);
+    limits.check_nodes(tree.len()).map_err(failed)?;
     println!("{:>8}  {:>7}  {:>5}  label", "Amb_Deg", "senses", "depth");
     let mut rows: Vec<(f64, usize, u32, String)> = tree
         .preorder()
@@ -1019,10 +1030,6 @@ fn build_server_config(flags: &Flags) -> Result<ServerConfig, String> {
     if let Some(max) = flags.parsed("--max-connections")? {
         config.max_connections = max;
     }
-    // Mirror the engine's byte ceiling to the HTTP layer, so oversized
-    // uploads are refused from the Content-Length alone (413 before the
-    // body is read) instead of after buffering.
-    config.max_body = flags.parsed("--max-bytes")?;
     config.slow = flags.parsed("--slow-ms")?.map(Duration::from_millis);
     config.cache_budget = build_cache_budget(flags)?;
     if let Some(soft) = flags.parsed("--mem-soft")? {

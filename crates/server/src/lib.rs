@@ -25,7 +25,7 @@
 //!   [`runtime::DocOutcome`], exported through
 //!   [`runtime::MetricsSnapshot::to_json_extended`] as one flat JSON
 //!   object on `GET /metrics`;
-//! * [`bench`] — a closed-loop load generator (`xsdf bench-serve`):
+//! * [`mod@bench`] — a closed-loop load generator (`xsdf bench-serve`):
 //!   N keep-alive connections replay a fixed corpus through a warmup then
 //!   a measured window, reporting sustained docs/sec and tail latency;
 //! * [`report`] — the slow-document report formatter shared byte-for-byte

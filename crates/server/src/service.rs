@@ -93,13 +93,12 @@ pub struct ServerConfig {
     /// Baseline pipeline configuration; per-request query parameters
     /// override individual fields.
     pub base: XsdfConfig,
-    /// Per-request resource limits (enforced by the engine).
+    /// Per-request resource limits (enforced by the engine). `max_bytes`
+    /// is also the HTTP body ceiling: a request declaring a larger
+    /// `Content-Length` is refused with 413 before its body is read.
     pub limits: ResourceLimits,
     /// Per-request deadline (maps to a `deadline` error kind / 504).
     pub deadline: Option<Duration>,
-    /// HTTP-layer body ceiling: requests declaring a larger
-    /// `Content-Length` are refused with 413 before the body is read.
-    pub max_body: Option<usize>,
     /// Stream a slow-document report to stderr for requests at or over
     /// this engine-time threshold (the `--slow-ms` of batch mode).
     pub slow: Option<Duration>,
@@ -135,7 +134,6 @@ impl Default for ServerConfig {
             base: XsdfConfig::default(),
             limits: ResourceLimits::unlimited(),
             deadline: None,
-            max_body: None,
             slow: None,
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(10),
@@ -488,7 +486,7 @@ impl<'sn> Server<'sn> {
                 read_timeout: self.config.read_timeout,
                 quantum: self.config.quantum,
                 max_header_bytes: http::DEFAULT_MAX_HEADER_BYTES,
-                max_body_bytes: self.config.max_body,
+                max_body_bytes: self.config.limits.max_bytes,
                 idle_abort: Some(&idle_abort),
             };
             match conn.read_request(&opts) {

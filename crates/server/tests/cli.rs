@@ -482,6 +482,71 @@ fn disambiguate_applies_limits_too() {
 }
 
 #[test]
+fn max_depth_above_the_ceiling_is_a_usage_error() {
+    // Deep enough to overflow the stack if the parser were allowed to
+    // follow it: the flag must be refused before any document is read.
+    let deep = "<n>".repeat(100_000) + &"</n>".repeat(100_000);
+    let doc = write_temp("too-deep.xml", &deep);
+    for command in ["batch", "disambiguate", "ambiguity"] {
+        let output = xsdf()
+            .arg(command)
+            .arg(&doc)
+            .args(["--max-depth", "1000000", "--quiet"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("--max-depth") && stderr.contains("256"),
+            "{stderr}"
+        );
+    }
+    // The ceiling itself is accepted.
+    let shallow = write_temp("ceiling.xml", "<cast><star>Kelly</star></cast>");
+    let output = xsdf()
+        .arg("disambiguate")
+        .arg(&shallow)
+        .args(["--max-depth", "256", "--quiet"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+}
+
+/// `xsdf ambiguity` on a 10-deep document fails with a `[limit]` error
+/// under `flag value`, and prints its table without the flag.
+fn assert_ambiguity_limit(flag: &str, value: &str) {
+    let deep = "<picture>".repeat(10) + &"</picture>".repeat(10);
+    let doc = write_temp(&format!("amb{flag}.xml"), &deep);
+    let output = xsdf()
+        .arg("ambiguity")
+        .arg(&doc)
+        .args([flag, value])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
+    assert!(stderr.contains("[limit]"), "{flag}: {stderr}");
+    assert!(output.stdout.is_empty(), "{flag}: no table on failure");
+    let output = xsdf().arg("ambiguity").arg(&doc).output().unwrap();
+    assert!(output.status.success());
+}
+
+#[test]
+fn ambiguity_applies_max_depth() {
+    assert_ambiguity_limit("--max-depth", "5");
+}
+
+#[test]
+fn ambiguity_applies_max_bytes() {
+    assert_ambiguity_limit("--max-bytes", "5");
+}
+
+#[test]
+fn ambiguity_applies_max_nodes() {
+    assert_ambiguity_limit("--max-nodes", "2");
+}
+
+#[test]
 fn batch_rejects_contradictory_failure_modes() {
     let doc = write_temp("contradictory.xml", "<a/>");
     let output = xsdf()
@@ -570,9 +635,8 @@ fn batch_max_bytes_rejects_from_file_metadata() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("[limit]"), "{stderr}");
-    // The reported actual is the on-disk size from fs::metadata — the
-    // streaming parser would only ever have seen limit+1 bytes, so this
-    // proves the file was rejected before any of it was buffered.
+    // The reported actual is the whole on-disk size, which the ingest
+    // check takes from fs::metadata before the file is read.
     assert!(stderr.contains(&format!("exceeded ({size})")), "{stderr}");
     assert!(stderr.contains("1 of 2 document(s) failed"), "{stderr}");
 }

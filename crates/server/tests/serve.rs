@@ -6,6 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
+use runtime::ResourceLimits;
 use server::http::{self, ClientResponse};
 use server::{Server, ServerConfig, ServerSummary};
 
@@ -236,7 +237,7 @@ fn bad_query_parameters_get_400() {
 #[test]
 fn oversized_body_gets_413_limit_kind() {
     let config = ServerConfig {
-        max_body: Some(64),
+        limits: ResourceLimits::unlimited().max_bytes(64),
         ..ServerConfig::default()
     };
     with_server(config, |addr| {

@@ -36,24 +36,6 @@ pub enum ParseErrorKind {
         /// The configured maximum nesting depth.
         limit: u32,
     },
-    /// The input exceeded the streaming parser's configured byte bound
-    /// ([`crate::stream::StreamLimits::max_bytes`]) — raised *while*
-    /// scanning, before the oversized remainder is ever buffered. Like
-    /// [`ParseErrorKind::DepthExceeded`], this is a resource-limit
-    /// violation, not evidence of malformed input.
-    BytesExceeded {
-        /// The configured maximum input size in bytes.
-        limit: usize,
-    },
-    /// The document produced more nodes than the streaming parser's
-    /// configured bound ([`crate::stream::StreamLimits::max_nodes`]) —
-    /// raised as soon as one node too many is scanned, before the rest of
-    /// the document is processed. A resource-limit violation, not evidence
-    /// of malformed input.
-    NodesExceeded {
-        /// The configured maximum node count.
-        limit: usize,
-    },
 }
 
 /// An error produced while parsing an XML document, carrying the 1-based
@@ -93,12 +75,6 @@ impl fmt::Display for ParseErrorKind {
             Self::Malformed(m) => write!(f, "malformed construct: {m}"),
             Self::DepthExceeded { limit } => {
                 write!(f, "element nesting exceeds the maximum depth of {limit}")
-            }
-            Self::BytesExceeded { limit } => {
-                write!(f, "input exceeds the maximum size of {limit} bytes")
-            }
-            Self::NodesExceeded { limit } => {
-                write!(f, "document exceeds the maximum of {limit} nodes")
             }
         }
     }

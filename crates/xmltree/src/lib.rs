@@ -5,9 +5,9 @@
 //!
 //! This crate provides, from scratch (no external XML dependencies):
 //!
-//! * a streaming [`parser`] for XML 1.0 documents (elements, attributes,
-//!   text, CDATA sections, comments, processing instructions, standard
-//!   entities and character references),
+//! * a recursive-descent [`parser`] for XML 1.0 documents (elements,
+//!   attributes, text, CDATA sections, comments, processing instructions,
+//!   standard entities and character references),
 //! * an arena-based [`document`] model ([`Document`]) addressed by stable
 //!   [`DocNodeId`] handles,
 //! * the paper's **rooted ordered labeled tree** abstraction
@@ -36,13 +36,11 @@ pub mod navigate;
 pub mod parser;
 pub mod semantic;
 pub mod serialize;
-pub mod stream;
 pub mod tree;
 
 pub use document::{DocNode, DocNodeId, Document};
 pub use error::{ParseError, ParseErrorKind};
 pub use semantic::{SemanticNode, SemanticTree};
-pub use stream::{Pulled, StreamLimits, StreamParser, XmlEvent};
 pub use tree::{NodeId, NodeKind, TreeBuilder, XmlTree};
 
 /// Parses an XML string into a [`Document`].

@@ -18,7 +18,7 @@ use crate::error::{ParseError, ParseErrorKind};
 /// [#x10000-#x10FFFF]` — surrogates are already unrepresentable as
 /// `char`, so the checks left are the C0 controls (other than tab, LF,
 /// CR) and the two non-characters `#xFFFE`/`#xFFFF`.
-pub(crate) fn is_xml_char(c: char) -> bool {
+fn is_xml_char(c: char) -> bool {
     matches!(c,
         '\u{9}' | '\u{A}' | '\u{D}'
         | '\u{20}'..='\u{D7FF}'
@@ -30,9 +30,8 @@ pub(crate) fn is_xml_char(c: char) -> bool {
 /// character: the five predefined entities plus decimal/hex character
 /// references. Numeric references are validated against the XML 1.0
 /// `Char` production, so `&#0;` and the other forbidden control
-/// characters are rejected rather than smuggled into content. Shared by
-/// the buffered and streaming parsers so both resolve identically.
-pub(crate) fn resolve_entity(name: &str) -> Option<char> {
+/// characters are rejected rather than smuggled into content.
+fn resolve_entity(name: &str) -> Option<char> {
     match name {
         "lt" => Some('<'),
         "gt" => Some('>'),
@@ -53,12 +52,12 @@ pub(crate) fn resolve_entity(name: &str) -> Option<char> {
 
 /// May `b` start an XML name? (ASCII letters, `_`, `:`, and any
 /// multi-byte UTF-8 lead/continuation byte.)
-pub(crate) fn is_name_start(b: u8) -> bool {
+fn is_name_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
 }
 
 /// May `b` continue an XML name?
-pub(crate) fn is_name_char(b: u8) -> bool {
+fn is_name_char(b: u8) -> bool {
     is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
 }
 
@@ -69,8 +68,6 @@ pub struct Parser<'a> {
     line: u32,
     column: u32,
     depth: u32,
-    /// When `true` (default), whitespace-only text nodes are discarded.
-    pub skip_whitespace_text: bool,
     /// Maximum element nesting depth before parsing fails (a stack-overflow
     /// guard for adversarial inputs: the parser recurses per element, and
     /// 2 MiB thread stacks comfortably hold ~256 frames in debug builds).
@@ -87,7 +84,6 @@ impl<'a> Parser<'a> {
             line: 1,
             column: 1,
             depth: 0,
-            skip_whitespace_text: true,
             max_depth: 256,
         }
     }
@@ -365,8 +361,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err(ParseErrorKind::UnexpectedEof));
             } else {
                 let text = self.parse_text()?;
-                let keep = !self.skip_whitespace_text || !text.chars().all(char::is_whitespace);
-                if keep && !text.is_empty() {
+                if !text.chars().all(char::is_whitespace) {
                     doc.add_text(elem, text);
                 }
             }
@@ -516,15 +511,6 @@ mod tests {
         let doc = parse("<r>\n  <a/>\n  <b/>\n</r>");
         let root = doc.root_element().unwrap();
         assert_eq!(doc.children(root).len(), 2);
-    }
-
-    #[test]
-    fn whitespace_kept_when_configured() {
-        let mut p = Parser::new("<r> <a/> </r>");
-        p.skip_whitespace_text = false;
-        let doc = p.parse_document().unwrap();
-        let root = doc.root_element().unwrap();
-        assert_eq!(doc.children(root).len(), 3);
     }
 
     #[test]
