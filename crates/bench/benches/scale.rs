@@ -56,7 +56,8 @@ fn run_size(engine: &BatchEngine, sn: &semnet::SemanticNetwork, documents: usize
         let refs: Vec<&str> = chunk.iter().map(String::as_str).collect();
         let report = engine.run(&refs);
         assert_eq!(
-            report.metrics.failed_documents, 0,
+            report.metrics.failures.total(),
+            0,
             "generated documents must all process"
         );
         black_box(&report.results);

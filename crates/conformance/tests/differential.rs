@@ -31,6 +31,7 @@ use xsdf::ambiguity::select_targets;
 use xsdf::concept_based::ConceptContext;
 use xsdf::config::{AmbiguityWeights, ThresholdPolicy, VectorSimilarity};
 use xsdf::context_based::ContextVectorScorer;
+use xsdf::guard::Guard;
 use xsdf::senses::{
     candidates_for_label, disambiguation_candidates, LingTokenizer, SenseCandidates,
 };
@@ -311,7 +312,8 @@ fn similarity_measures_agree_on_sampled_pairs() {
 /// Up to `limit` selected targets of a result, evenly spaced.
 fn sample_targets(xsdf: &Xsdf, tree: &XmlTree, limit: usize) -> Vec<xmltree::NodeId> {
     let selected: Vec<xmltree::NodeId> = xsdf
-        .select(tree)
+        .select_guarded(tree, &Guard::unlimited())
+        .expect("an unlimited guard cannot trip")
         .into_iter()
         .filter(|na| na.selected)
         .map(|na| na.node)

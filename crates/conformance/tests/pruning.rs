@@ -103,7 +103,12 @@ fn exact_pruning_is_bitwise_identical_across_the_sweep() {
         let sim = CombinedSimilarity::new(case.config().similarity);
         let guard = Guard::unlimited();
         let result = xsdf
-            .disambiguate_selected_guarded(&tree, &xsdf.select(&tree), &sim, &guard)
+            .disambiguate_selected_guarded(
+                &tree,
+                &xsdf.select_guarded(&tree, &guard).unwrap(),
+                &sim,
+                &guard,
+            )
             .expect("an unlimited guard cannot trip");
         pruned += guard.candidates_pruned();
         for r in result.targets().filter(|r| r.candidates > 0) {

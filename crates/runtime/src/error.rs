@@ -58,6 +58,20 @@ impl XsdfError {
     }
 }
 
+/// Reads a document's bytes as UTF-8 text. Invalid input is a typed
+/// parse failure at the line and column of the first bad byte, so batch
+/// files and HTTP bodies report and count it the same way.
+pub fn utf8_document(bytes: &[u8]) -> Result<&str, XsdfError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let valid = &bytes[..e.valid_up_to()];
+        let line = valid.iter().filter(|&&b| b == b'\n').count();
+        let column = valid.iter().rev().take_while(|&&b| b != b'\n').count();
+        let at = |n: usize| u32::try_from(n + 1).unwrap_or(u32::MAX);
+        let kind = ParseErrorKind::Malformed("input is not valid UTF-8".into());
+        XsdfError::Parse(ParseError::new(kind, at(line), at(column)))
+    })
+}
+
 impl fmt::Display for XsdfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

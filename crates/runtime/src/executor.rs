@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use semnet::SemanticNetwork;
-use semsim::{CombinedSimilarity, PairKey, SimilarityCache};
+use semsim::{CombinedSimilarity, PairKey};
 use xsdf::guard::Deadline;
 use xsdf::{DisambiguationResult, Xsdf, XsdfConfig};
 
@@ -34,65 +34,58 @@ use crate::cache::{SharedCache, TallyCache};
 use crate::error::XsdfError;
 use crate::fault;
 use crate::limits::ResourceLimits;
-use crate::metrics::{FailureCounts, MetricsSnapshot, StageLatency, StageTimings};
+use crate::metrics::{MetricsSnapshot, Stage};
 use crate::trace::{DocSpan, StageSpan, Trace, TOP_MISS_CONCEPTS};
 
-/// Per-worker accumulator, merged into the batch metrics at the end.
-#[derive(Default)]
-struct WorkerStats {
-    stages: StageTimings,
-    latency: StageLatency,
+/// One worker's scoring measure plus its share of the run's records: the
+/// metrics it accumulated and the spans it traced.
+struct Worker {
+    id: usize,
+    sim: CombinedSimilarity<TallyCache>,
+    metrics: MetricsSnapshot,
     spans: Vec<DocSpan>,
-    nodes: usize,
-    targets: usize,
-    assigned: usize,
-    failures: FailureCounts,
-    cache_hits: u64,
-    cache_misses: u64,
-    gloss_pairs_scored: u64,
-    vectors_built: u64,
-    vectors_reused: u64,
-    candidates_pruned: u64,
 }
 
-impl WorkerStats {
-    fn merge(&mut self, other: &mut WorkerStats) {
-        self.stages.merge(&other.stages);
-        self.latency.merge(&other.latency);
-        self.spans.append(&mut other.spans);
-        self.nodes += other.nodes;
-        self.targets += other.targets;
-        self.assigned += other.assigned;
-        self.failures.merge(&other.failures);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.gloss_pairs_scored += other.gloss_pairs_scored;
-        self.vectors_built += other.vectors_built;
-        self.vectors_reused += other.vectors_reused;
-        self.candidates_pruned += other.candidates_pruned;
-    }
-
-    /// Reads the per-run kernel/cache tallies off a worker's measure once
-    /// its share of the batch is done.
-    fn collect_cache(&mut self, sim: &CombinedSimilarity<TallyCache>) {
-        self.cache_hits = sim.cache().hits();
-        self.cache_misses = sim.cache().misses();
-        self.gloss_pairs_scored = sim.gloss_pairs_scored();
-        self.vectors_built = sim.cache().vector_misses();
-        self.vectors_reused = sim.cache().vector_hits();
+impl Worker {
+    /// The worker's records, with the per-run cache and kernel tallies
+    /// read off its measure once its share of the run is done.
+    fn finish(mut self) -> (MetricsSnapshot, Vec<DocSpan>) {
+        let (m, cache) = (&mut self.metrics, self.sim.cache());
+        (m.cache_hits, m.cache_misses) = (cache.hits(), cache.misses());
+        (m.vectors_built, m.vectors_reused) = (cache.vector_misses(), cache.vector_hits());
+        m.gloss_pairs_scored = self.sim.gloss_pairs_scored();
+        (self.metrics, self.spans)
     }
 }
 
-/// What a worker observed about the document it is currently running,
-/// written progressively so the trace span is as complete as possible even
-/// when a stage errors or panics partway through.
-#[derive(Default)]
-struct DocMarks {
-    stages: [Option<StageSpan>; 4],
-    nodes: usize,
-    targets: usize,
-    assigned: usize,
-    sense_pairs: u64,
+/// One document on its way through the stages: the worker metrics its
+/// stages record into, and its span, filled in as the document goes so it
+/// is as complete as possible even when a stage errors or panics partway
+/// through.
+struct DocRun<'a> {
+    xml: &'a str,
+    epoch: Instant,
+    metrics: &'a mut MetricsSnapshot,
+    span: DocSpan,
+}
+
+impl DocRun<'_> {
+    /// Runs one pipeline stage: its failpoint, then `work` under a timer
+    /// whose reading lands in the stage sum, the stage histogram and the
+    /// document's span.
+    fn stage<T>(&mut self, stage: Stage, work: impl FnOnce() -> T) -> T {
+        fault::hit(stage.name(), self.xml);
+        let started = Instant::now();
+        let out = work();
+        let took = started.elapsed();
+        self.metrics.stages[stage] += took;
+        self.metrics.latency.stages[stage].record(took);
+        self.span.stages[stage as usize] = Some(StageSpan {
+            start: started.duration_since(self.epoch),
+            duration: took,
+        });
+        out
+    }
 }
 
 /// The outcome of one batch run: per-document results in input order plus
@@ -120,19 +113,10 @@ pub struct DocOutcome {
     pub result: Result<DisambiguationResult, XsdfError>,
     /// The trace span, present when [`BatchEngine::tracing`] is on.
     pub span: Option<DocSpan>,
-    /// Similarity-cache lookups by this document that hit.
-    pub cache_hits: u64,
-    /// Similarity-cache lookups by this document that missed.
-    pub cache_misses: u64,
-    /// Concept pairs pushed through the extended-gloss-overlap kernel.
-    pub gloss_pairs_scored: u64,
-    /// Context vectors built from scratch.
-    pub vectors_built: u64,
-    /// Context vectors served from the shared vector table.
-    pub vectors_reused: u64,
-    /// Candidates the scoring loop's exact early exit abandoned mid-scan
-    /// (`xsdf::prune`).
-    pub candidates_pruned: u64,
+    /// This document's share of the run metrics: its counters, stage
+    /// timings and latency samples. The run-level fields (`threads`,
+    /// `wall_clock`, the cache gauges) are left for the aggregator.
+    pub metrics: MetricsSnapshot,
 }
 
 /// A reusable parallel batch-disambiguation engine with panic isolation,
@@ -281,110 +265,81 @@ impl<'sn> BatchEngine<'sn> {
 
         let mut slots: Vec<Option<Result<DisambiguationResult, XsdfError>>> =
             (0..docs.len()).map(|_| None).collect();
-        let mut totals = WorkerStats::default();
         let cancelled = AtomicBool::new(false);
 
-        if threads <= 1 {
-            let sim = self.worker_measure();
-            let mut stats = WorkerStats::default();
+        let (mut metrics, mut spans) = if threads <= 1 {
+            let mut worker = self.worker(0);
             for (i, (slot, xml)) in slots.iter_mut().zip(docs).enumerate() {
                 if self.should_stop(&cancelled) {
                     break;
                 }
-                *slot = Some(self.run_one(i, 0, xml, started, &sim, &mut stats, &cancelled));
+                *slot = Some(self.run_one(&mut worker, i, xml, started, &cancelled));
             }
-            stats.collect_cache(&sim);
-            totals = stats;
+            worker.finish()
         } else {
             let next = AtomicUsize::new(0);
             let (result_tx, result_rx) = mpsc::channel();
-            let (stats_tx, stats_rx) = mpsc::channel();
             std::thread::scope(|scope| {
-                for worker in 0..threads {
-                    let result_tx = result_tx.clone();
-                    let stats_tx = stats_tx.clone();
-                    let next = &next;
-                    let cancelled = &cancelled;
-                    scope.spawn(move || {
-                        let sim = self.worker_measure();
-                        let mut stats = WorkerStats::default();
-                        loop {
-                            if self.should_stop(cancelled) {
-                                break;
+                let workers: Vec<_> = (0..threads)
+                    .map(|id| {
+                        let result_tx = result_tx.clone();
+                        let (next, cancelled) = (&next, &cancelled);
+                        scope.spawn(move || {
+                            let mut worker = self.worker(id);
+                            while !self.should_stop(cancelled) {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= docs.len() {
+                                    break;
+                                }
+                                let outcome =
+                                    self.run_one(&mut worker, i, docs[i], started, cancelled);
+                                if result_tx.send((i, outcome)).is_err() {
+                                    // The collector is gone (it panicked or was
+                                    // dropped early). Nobody can use further
+                                    // results; stop quietly instead of
+                                    // panicking a second thread.
+                                    break;
+                                }
                             }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= docs.len() {
-                                break;
-                            }
-                            let outcome = self
-                                .run_one(i, worker, docs[i], started, &sim, &mut stats, cancelled);
-                            if result_tx.send((i, outcome)).is_err() {
-                                // The collector is gone (it panicked or was
-                                // dropped early). Nobody can use further
-                                // results; stop quietly instead of
-                                // panicking a second thread.
-                                break;
-                            }
-                        }
-                        stats.collect_cache(&sim);
-                        // Same rationale as above: a dead collector must
-                        // not take the worker down with it.
-                        let _ = stats_tx.send(stats);
-                    });
-                }
+                            worker.finish()
+                        })
+                    })
+                    .collect();
                 drop(result_tx);
-                drop(stats_tx);
                 // Collect on the scope's owning thread while workers run.
                 for (i, outcome) in result_rx {
                     slots[i] = Some(outcome);
                 }
-                for mut stats in stats_rx {
-                    totals.merge(&mut stats);
+                let mut totals = (MetricsSnapshot::default(), Vec::new());
+                for worker in workers {
+                    // invariant: `run_one` catches every document's panic, so
+                    // a worker thread always returns its records
+                    let (metrics, mut spans) = worker.join().expect("worker thread panicked");
+                    totals.0.merge(&metrics);
+                    totals.1.append(&mut spans);
                 }
-            });
-        }
+                totals
+            })
+        };
 
         // Slots never scheduled (fail-fast cancellation) report as such.
         let mut results = Vec::with_capacity(slots.len());
         for slot in slots {
             results.push(slot.unwrap_or_else(|| {
-                totals.failures.cancelled += 1;
+                metrics.count_document(Some(&XsdfError::Cancelled));
                 Err(XsdfError::Cancelled)
             }));
         }
         // The span streams arrive in whatever order workers drained the
         // queue; sorting by input index makes the merged trace
         // deterministic for a given batch and thread count.
-        let trace = if self.tracing {
-            let mut spans = std::mem::take(&mut totals.spans);
+        let trace = self.tracing.then(|| {
             spans.sort_by_key(|s| s.doc);
-            Some(Trace { spans, threads })
-        } else {
-            None
-        };
-        let metrics = MetricsSnapshot {
-            threads,
-            documents: docs.len(),
-            failed_documents: totals.failures.total(),
-            failures: totals.failures,
-            nodes: totals.nodes,
-            targets: totals.targets,
-            assigned: totals.assigned,
-            stages: totals.stages,
-            latency: totals.latency,
-            wall_clock: started.elapsed(),
-            cache_hits: totals.cache_hits,
-            cache_misses: totals.cache_misses,
-            cache_entries: self.cache.len(),
-            cache_evictions: self.cache.evictions(),
-            cache_bytes: self.cache.bytes(),
-            cache_bytes_peak: self.cache.bytes_peak(),
-            gloss_pairs_scored: totals.gloss_pairs_scored,
-            vectors_built: totals.vectors_built,
-            vectors_reused: totals.vectors_reused,
-            vector_entries: self.cache.vectors_len(),
-            candidates_pruned: totals.candidates_pruned,
-        };
+            Trace { spans, threads }
+        });
+        metrics.threads = threads;
+        metrics.wall_clock = started.elapsed();
+        metrics.read_cache_gauges(&self.cache);
         BatchReport {
             results,
             metrics,
@@ -406,20 +361,13 @@ impl<'sn> BatchEngine<'sn> {
     /// outcomes into live metrics instead of reading a whole-batch
     /// [`MetricsSnapshot`].
     pub fn process_document_observed(&self, xml: &str) -> DocOutcome {
-        let sim = self.worker_measure();
-        let mut stats = WorkerStats::default();
-        let cancelled = AtomicBool::new(false);
-        let result = self.run_one(0, 0, xml, Instant::now(), &sim, &mut stats, &cancelled);
-        stats.collect_cache(&sim);
+        let mut worker = self.worker(0);
+        let result = self.run_one(&mut worker, 0, xml, Instant::now(), &AtomicBool::new(false));
+        let (metrics, mut spans) = worker.finish();
         DocOutcome {
             result,
-            span: stats.spans.pop(),
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            gloss_pairs_scored: stats.gloss_pairs_scored,
-            vectors_built: stats.vectors_built,
-            vectors_reused: stats.vectors_reused,
-            candidates_pruned: stats.candidates_pruned,
+            span: spans.pop(),
+            metrics,
         }
     }
 
@@ -430,78 +378,78 @@ impl<'sn> BatchEngine<'sn> {
             || self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    fn worker_measure(&self) -> CombinedSimilarity<TallyCache> {
-        CombinedSimilarity::with_cache(
-            self.xsdf.config().similarity,
-            TallyCache::new(Arc::clone(&self.cache)),
-        )
+    fn worker(&self, id: usize) -> Worker {
+        Worker {
+            id,
+            sim: CombinedSimilarity::with_cache(
+                self.xsdf.config().similarity,
+                TallyCache::new(Arc::clone(&self.cache)),
+            ),
+            metrics: MetricsSnapshot::default(),
+            spans: Vec::new(),
+        }
     }
 
     /// Runs one document with the panic boundary: a panic anywhere in the
     /// pipeline (or an injected failpoint panic) is caught here and
-    /// becomes a per-document [`XsdfError::Panicked`]. Also records the
-    /// failure kind, the end-to-end latency, the trace span when tracing
-    /// is on, and, in fail-fast mode, raises the cancellation flag.
-    #[allow(clippy::too_many_arguments)]
+    /// becomes a per-document [`XsdfError::Panicked`]. Also counts the
+    /// document and its failure kind, records the end-to-end latency and,
+    /// when tracing is on, the span, and in fail-fast mode raises the
+    /// cancellation flag.
     fn run_one(
         &self,
+        worker: &mut Worker,
         doc: usize,
-        worker: usize,
         xml: &str,
         epoch: Instant,
-        sim: &CombinedSimilarity<TallyCache>,
-        stats: &mut WorkerStats,
         cancelled: &AtomicBool,
     ) -> Result<DisambiguationResult, XsdfError> {
-        let start = epoch.elapsed();
-        let (hits_before, misses_before) = (sim.cache().hits(), sim.cache().misses());
+        let cache = worker.sim.cache();
+        let (hits_before, misses_before) = (cache.hits(), cache.misses());
         if self.tracing {
-            sim.cache().begin_miss_recording();
+            cache.begin_miss_recording();
         }
-        let mut marks = DocMarks::default();
-        // AssertUnwindSafe: `stats`, `marks`, and the tally cache are only
-        // ever advanced by whole, already-completed increments (Cell sets,
-        // Duration additions), and a torn shared-cache shard is audited in
-        // `SharedCache` (poison recovery over idempotent pure scores) — so
-        // observing them after an unwind cannot expose a broken invariant.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| {
-            self.process_one(xml, epoch, sim, stats, &mut marks)
-        })) {
-            Ok(outcome) => outcome,
-            Err(payload) => Err(XsdfError::Panicked {
-                message: panic_message(payload),
-            }),
-        };
-        let end = epoch.elapsed();
-        stats.latency.doc.record(end.saturating_sub(start));
-        if let Err(e) = &outcome {
-            stats.failures.record(e);
-            if self.fail_fast {
-                cancelled.store(true, Ordering::Relaxed);
-            }
-        }
-        if self.tracing {
-            let missed = sim.cache().take_missed_pairs();
-            stats.spans.push(DocSpan {
+        let mut run = DocRun {
+            xml,
+            epoch,
+            metrics: &mut worker.metrics,
+            span: DocSpan {
                 doc,
-                worker,
-                start,
-                end,
+                worker: worker.id,
+                start: epoch.elapsed(),
                 bytes: xml.len(),
-                outcome: match &outcome {
-                    Ok(_) => "ok",
-                    Err(e) => e.kind(),
-                },
-                error: outcome.as_ref().err().map(|e| e.to_string()),
-                nodes: marks.nodes,
-                targets: marks.targets,
-                assigned: marks.assigned,
-                sense_pairs: marks.sense_pairs,
-                cache_hits: sim.cache().hits() - hits_before,
-                cache_misses: sim.cache().misses() - misses_before,
-                stages: marks.stages,
-                top_miss_concepts: top_miss_concepts(self.xsdf.network(), &missed),
-            });
+                ..DocSpan::default()
+            },
+        };
+        // AssertUnwindSafe: the metrics, the span, and the tally cache are
+        // only ever advanced by whole, already-completed increments (Cell
+        // sets, Duration additions), and a torn shared-cache shard is
+        // audited in `SharedCache` (poison recovery over idempotent pure
+        // scores) — so observing them after an unwind cannot expose a
+        // broken invariant.
+        let outcome =
+            match catch_unwind(AssertUnwindSafe(|| self.process_one(&mut run, &worker.sim))) {
+                Ok(outcome) => outcome,
+                Err(payload) => Err(XsdfError::Panicked {
+                    message: panic_message(payload),
+                }),
+            };
+        let mut span = run.span;
+        span.end = epoch.elapsed();
+        worker.metrics.latency.doc.record(span.duration());
+        worker.metrics.count_document(outcome.as_ref().err());
+        if outcome.is_err() && self.fail_fast {
+            cancelled.store(true, Ordering::Relaxed);
+        }
+        if self.tracing {
+            let cache = worker.sim.cache();
+            span.outcome = outcome.as_ref().map_or_else(|e| e.kind(), |_| "ok");
+            span.error = outcome.as_ref().err().map(|e| e.to_string());
+            span.cache_hits = cache.hits() - hits_before;
+            span.cache_misses = cache.misses() - misses_before;
+            span.top_miss_concepts =
+                top_miss_concepts(self.xsdf.network(), &cache.take_missed_pairs());
+            worker.spans.push(span);
         }
         outcome
     }
@@ -509,33 +457,28 @@ impl<'sn> BatchEngine<'sn> {
     /// The four-stage pipeline for one document, with limit and deadline
     /// checks at every stage boundary (and, via the guard, inside the
     /// scoring loop). Wraps [`BatchEngine::process_stages`] so the guard's
-    /// sense-pair count lands in the marks on success *and* error exits
-    /// (a panic loses it — the guard unwinds with the stack).
+    /// sense-pair and pruning counts land in the metrics on success *and*
+    /// error exits (a panic loses them — the guard unwinds with the stack).
     fn process_one(
         &self,
-        xml: &str,
-        epoch: Instant,
+        run: &mut DocRun<'_>,
         sim: &CombinedSimilarity<TallyCache>,
-        stats: &mut WorkerStats,
-        marks: &mut DocMarks,
     ) -> Result<DisambiguationResult, XsdfError> {
         let guard = self.limits.guard(self.deadline.map(Deadline::after));
-        let outcome = self.process_stages(xml, epoch, sim, stats, marks, &guard);
-        marks.sense_pairs = guard.pairs_scored();
-        stats.candidates_pruned += guard.candidates_pruned();
+        let outcome = self.process_stages(run, sim, &guard);
+        run.span.sense_pairs = guard.pairs_scored();
+        run.metrics.sense_pairs += guard.pairs_scored();
+        run.metrics.candidates_pruned += guard.candidates_pruned();
         outcome
     }
 
     fn process_stages(
         &self,
-        xml: &str,
-        epoch: Instant,
+        run: &mut DocRun<'_>,
         sim: &CombinedSimilarity<TallyCache>,
-        stats: &mut WorkerStats,
-        marks: &mut DocMarks,
         guard: &xsdf::guard::Guard,
     ) -> Result<DisambiguationResult, XsdfError> {
-        fault::hit("parse", xml);
+        let xml = run.xml;
         if let Some(max) = self.limits.max_bytes {
             if xml.len() > max {
                 return Err(XsdfError::LimitExceeded {
@@ -545,65 +488,21 @@ impl<'sn> BatchEngine<'sn> {
                 });
             }
         }
-        let stage_start = epoch.elapsed();
-        let t = Instant::now();
-        let parsed = self.limits.parse(xml);
-        let took = t.elapsed();
-        stats.stages.parse += took;
-        stats.latency.parse.record(took);
-        marks.stages[0] = Some(StageSpan {
-            start: stage_start,
-            duration: took,
-        });
-        let doc = parsed?;
+        let doc = run.stage(Stage::Parse, || self.limits.parse(xml))?;
         guard.check_deadline()?;
+        let tree = run.stage(Stage::Preprocess, || self.xsdf.build_tree(&doc));
+        run.span.nodes = tree.len();
+        let ambiguities = run.stage(Stage::Select, || self.xsdf.select_guarded(&tree, guard))?;
+        run.span.targets = ambiguities.iter().filter(|a| a.selected).count();
+        let result = run.stage(Stage::Disambiguate, || {
+            self.xsdf
+                .disambiguate_selected_guarded(&tree, &ambiguities, sim, guard)
+        })?;
+        run.span.assigned = result.assigned_count();
 
-        fault::hit("preprocess", xml);
-        let stage_start = epoch.elapsed();
-        let t = Instant::now();
-        let tree = self.xsdf.build_tree(&doc);
-        let took = t.elapsed();
-        stats.stages.preprocess += took;
-        stats.latency.preprocess.record(took);
-        marks.stages[1] = Some(StageSpan {
-            start: stage_start,
-            duration: took,
-        });
-        marks.nodes = tree.len();
-
-        fault::hit("select", xml);
-        let stage_start = epoch.elapsed();
-        let t = Instant::now();
-        let selected = self.xsdf.select_guarded(&tree, guard);
-        let took = t.elapsed();
-        stats.stages.select += took;
-        stats.latency.select.record(took);
-        marks.stages[2] = Some(StageSpan {
-            start: stage_start,
-            duration: took,
-        });
-        let ambiguities = selected?;
-        marks.targets = ambiguities.iter().filter(|a| a.selected).count();
-
-        fault::hit("disambiguate", xml);
-        let stage_start = epoch.elapsed();
-        let t = Instant::now();
-        let scored = self
-            .xsdf
-            .disambiguate_selected_guarded(&tree, &ambiguities, sim, guard);
-        let took = t.elapsed();
-        stats.stages.disambiguate += took;
-        stats.latency.disambiguate.record(took);
-        marks.stages[3] = Some(StageSpan {
-            start: stage_start,
-            duration: took,
-        });
-        let result = scored?;
-        marks.assigned = result.assigned_count();
-
-        stats.nodes += tree.len();
-        stats.targets += marks.targets;
-        stats.assigned += marks.assigned;
+        run.metrics.nodes += run.span.nodes;
+        run.metrics.targets += run.span.targets;
+        run.metrics.assigned += run.span.assigned;
         Ok(result)
     }
 }
@@ -670,7 +569,7 @@ mod tests {
         assert!(report.results[1].is_err());
         assert!(report.results[2].is_ok());
         assert!(report.results[3].is_ok());
-        assert_eq!(report.metrics.failed_documents, 1);
+        assert_eq!(report.metrics.failures.total(), 1);
         assert_eq!(report.metrics.failures.parse, 1);
         assert_eq!(report.metrics.documents, 4);
     }
@@ -742,7 +641,7 @@ mod tests {
         assert!(matches!(report.results[2], Err(XsdfError::Cancelled)));
         assert!(matches!(report.results[3], Err(XsdfError::Cancelled)));
         assert_eq!(report.metrics.failures.cancelled, 2);
-        assert_eq!(report.metrics.failed_documents, 3);
+        assert_eq!(report.metrics.failures.total(), 3);
     }
 
     #[test]
@@ -787,12 +686,12 @@ mod tests {
         let span = outcome.span.expect("tracing produces a span");
         assert_eq!(span.outcome, "ok");
         assert!(span.nodes > 0);
-        assert_eq!(span.cache_misses, outcome.cache_misses);
-        assert!(outcome.cache_misses > 0, "cold run must miss");
+        assert_eq!(span.cache_misses, outcome.metrics.cache_misses);
+        assert!(outcome.metrics.cache_misses > 0, "cold run must miss");
         // A second observed run over the same engine is fully warm.
         let warm = engine.process_document_observed(DOC);
-        assert_eq!(warm.cache_misses, 0);
-        assert!(warm.cache_hits > 0);
+        assert_eq!(warm.metrics.cache_misses, 0);
+        assert!(warm.metrics.cache_hits > 0);
         // Without tracing there is no span, but accounting still works.
         let untraced = BatchEngine::new(mini_wordnet(), XsdfConfig::default());
         let outcome = untraced.process_document_observed(DOC);
@@ -811,7 +710,10 @@ mod tests {
         );
         let outcome = engine.process_document_observed(DOC);
         assert!(outcome.result.is_ok());
-        assert_eq!(outcome.candidates_pruned, report.metrics.candidates_pruned);
+        assert_eq!(
+            outcome.metrics.candidates_pruned,
+            report.metrics.candidates_pruned
+        );
     }
 
     #[test]

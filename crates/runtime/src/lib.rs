@@ -70,10 +70,10 @@ pub mod shard;
 pub mod trace;
 
 pub use cache::{CacheBudget, SharedCache, TallyCache};
-pub use error::XsdfError;
+pub use error::{utf8_document, XsdfError};
 pub use executor::{BatchEngine, BatchReport, DocOutcome};
 pub use hist::Histogram;
 pub use limits::ResourceLimits;
-pub use metrics::{FailureCounts, MetricsSnapshot, StageLatency, StageTimings};
+pub use metrics::{FailureCounts, MetricsSnapshot, PerStage, Stage, StageLatency, StageTimings};
 pub use shard::ShardReport;
 pub use trace::{DocSpan, StageSpan, Trace};

@@ -75,7 +75,7 @@ fn a_panic_at_every_stage_is_isolated_at_every_thread_count() {
                         }
                     }
                     assert_eq!(report.metrics.failures.panic, 3, "stage {stage}");
-                    assert_eq!(report.metrics.failed_documents, 3, "stage {stage}");
+                    assert_eq!(report.metrics.failures.total(), 3, "stage {stage}");
                 }
             },
         );
@@ -125,7 +125,7 @@ fn acceptance_mix_16_of_32_survive_identically_at_all_thread_counts() {
                 assert_eq!(failures.deadline, 4, "{threads} threads");
                 assert_eq!(failures.parse, 0, "{threads} threads");
                 assert_eq!(failures.cancelled, 0, "{threads} threads");
-                assert_eq!(report.metrics.failed_documents, 16, "{threads} threads");
+                assert_eq!(report.metrics.failures.total(), 16, "{threads} threads");
 
                 let annotated: Vec<Option<String>> = report
                     .results
@@ -310,7 +310,7 @@ fn a_panic_mid_eviction_is_isolated_and_the_cache_recovers() {
                 for (i, result) in second.results.iter().enumerate() {
                     assert!(result.is_ok(), "table {table}, doc {i}: did not recover");
                 }
-                assert_eq!(second.metrics.failed_documents, 0, "table {table}");
+                assert_eq!(second.metrics.failures.total(), 0, "table {table}");
                 // Accounting survived the poisoning: entries within the
                 // budget on both tables (each capped at max_entries).
                 assert!(

@@ -93,7 +93,7 @@ fn metrics_account_for_the_whole_batch() {
     let m = &report.metrics;
 
     assert_eq!(m.documents, docs.len());
-    assert_eq!(m.failed_documents, 0);
+    assert_eq!(m.failures.total(), 0);
     let expected_nodes: usize = report
         .results
         .iter()
@@ -116,6 +116,6 @@ fn metrics_account_for_the_whole_batch() {
     // store the identical value), so entries can only be bounded by misses.
     assert!(m.cache_entries > 0);
     assert!(m.cache_entries as u64 <= m.cache_misses);
-    assert!(m.stages.disambiguate > std::time::Duration::ZERO);
+    assert!(m.stages[runtime::Stage::Disambiguate] > std::time::Duration::ZERO);
     assert!(m.wall_clock > std::time::Duration::ZERO);
 }

@@ -183,13 +183,14 @@ fn latency_histograms_cover_every_document_even_without_tracing() {
     let report = engine.run(&docs);
     assert!(report.trace.is_none(), "tracing defaults to off");
     let latency = &report.metrics.latency;
-    for (name, hist) in latency.groups() {
+    let stages = runtime::Stage::ALL.map(|stage| (stage.name(), &latency.stages[stage]));
+    for (name, hist) in stages.into_iter().chain([("doc", &latency.doc)]) {
         assert_eq!(hist.count(), docs.len() as u64, "{name} histogram count");
         assert!(hist.p50() <= hist.p90() && hist.p90() <= hist.p99());
         assert!(hist.p99() <= hist.max());
     }
     // Stage latencies nest inside the end-to-end distribution.
-    assert!(latency.parse.max() <= latency.doc.max());
+    assert!(latency.stages[runtime::Stage::Parse].max() <= latency.doc.max());
     // The percentile keys surface in the JSON dump.
     let json = report.metrics.to_json();
     for key in [

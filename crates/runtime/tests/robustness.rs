@@ -37,7 +37,7 @@ fn byte_limit_trips_on_entity_heavy_documents() {
         other => panic!("expected byte limit, got {other:?}"),
     }
     assert_eq!(report.metrics.failures.limit, 1);
-    assert_eq!(report.metrics.failed_documents, 1);
+    assert_eq!(report.metrics.failures.total(), 1);
 }
 
 #[test]
@@ -256,7 +256,7 @@ fn mixed_batch_is_deterministic_across_thread_counts() {
 
     let reference = engine().threads(1).limits(limits).run(&views);
     assert_eq!(reference.metrics.failures.limit, 12);
-    assert_eq!(reference.metrics.failed_documents, 12);
+    assert_eq!(reference.metrics.failures.total(), 12);
     for threads in [2, 8] {
         let report = engine().threads(threads).limits(limits).run(&views);
         assert_eq!(report.metrics.failures, reference.metrics.failures);
@@ -290,7 +290,7 @@ fn fail_fast_still_reports_every_slot() {
     assert_eq!(report.results.len(), docs.len());
     assert!(report.metrics.failures.limit >= 1);
     assert_eq!(
-        report.metrics.failed_documents,
+        report.metrics.failures.total(),
         report.results.iter().filter(|r| r.is_err()).count()
     );
     assert_eq!(

@@ -417,16 +417,8 @@ fn ingest_doc(path: &str, limits: &ResourceLimits) -> Result<String, IngestError
     }
     let bytes =
         std::fs::read(path).map_err(|e| IngestError::Io(format!("cannot read {path}: {e}")))?;
-    String::from_utf8(bytes).map_err(|e| {
-        let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
-        let line = valid.iter().filter(|&&b| b == b'\n').count() as u32 + 1;
-        let column = valid.iter().rev().take_while(|&&b| b != b'\n').count() as u32 + 1;
-        IngestError::Doc(XsdfError::Parse(xmltree::ParseError::new(
-            xmltree::ParseErrorKind::Malformed("input is not valid UTF-8".into()),
-            line,
-            column,
-        )))
-    })
+    let xml = runtime::utf8_document(&bytes).map_err(IngestError::Doc)?;
+    Ok(xml.to_owned())
 }
 
 fn read_doc(flags: &Flags, limits: &ResourceLimits) -> Result<(String, String), String> {
@@ -562,9 +554,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
                 .as_ref()
                 .map_err(|e| e.clone()),
             Err(e) => {
-                metrics.documents += 1;
-                metrics.failed_documents += 1;
-                metrics.failures.record(e);
+                metrics.count_document(Some(e));
                 Err(e.clone())
             }
         };
@@ -650,7 +640,7 @@ fn print_batch_summary(m: &MetricsSnapshot) {
         "{} docs ({} failed), {} nodes, {} assigned | {} threads, {:.1} ms wall | \
          {:.1} docs/s, {:.0} nodes/s | cache: {} hits / {} misses ({:.1}% hit rate)",
         m.documents,
-        m.failed_documents,
+        m.failures.total(),
         m.nodes,
         m.assigned,
         m.threads,
@@ -798,7 +788,7 @@ fn cmd_batch_sharded(flags: &Flags, shards: usize) -> Result<ExitCode, String> {
     if let Some(path) = flags.value("--metrics") {
         std::fs::write(path, merged.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    let failures = merged.failed_documents;
+    let failures = merged.failures.total();
     if failures == files.len() {
         return Err(format!("all {failures} document(s) failed"));
     }

@@ -749,8 +749,9 @@ fn sharded_batch_is_shard_count_invariant() {
     assert_eq!(stdout1, stdout2);
     assert_eq!(stdout1, stdout4);
     assert!(stdout1.contains("doc-00000000.xml"), "{stdout1}");
-    // Work-accounting metrics are invariant too (cache and throughput
-    // figures legitimately vary: each process has its own cold cache).
+    // Work-accounting metrics are invariant too, scoring work included
+    // (cache and throughput figures legitimately vary: each process has
+    // its own cold cache).
     for key in [
         "documents",
         "failed_documents",
@@ -762,6 +763,8 @@ fn sharded_batch_is_shard_count_invariant() {
         "nodes",
         "targets",
         "assigned",
+        "candidates_pruned",
+        "sense_pairs",
     ] {
         let v1 = json_u64(&json1, key);
         assert_eq!(v1, json_u64(&json2, key), "{key} differs at --shards 2");

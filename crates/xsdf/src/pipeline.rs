@@ -140,7 +140,7 @@ impl<'sn> Xsdf<'sn> {
 
     /// Runs selection + disambiguation over an already-built tree.
     pub fn disambiguate_tree(&self, tree: &XmlTree) -> DisambiguationResult {
-        self.run(tree, None)
+        self.disambiguate_tree_with(tree, &CombinedSimilarity::new(self.config.similarity))
     }
 
     /// Disambiguates only the given nodes (the paper's evaluation protocol:
@@ -148,7 +148,8 @@ impl<'sn> Xsdf<'sn> {
     /// (ambiguity threshold) still applies within the restricted set;
     /// reports cover only the requested nodes, in preorder.
     pub fn disambiguate_nodes(&self, tree: &XmlTree, nodes: &[NodeId]) -> DisambiguationResult {
-        self.run(tree, Some(nodes))
+        let sim = CombinedSimilarity::new(self.config.similarity);
+        self.run(tree, Some(nodes), &sim)
     }
 
     /// Disambiguates an already-built tree, memoizing pair similarities in
@@ -161,28 +162,19 @@ impl<'sn> Xsdf<'sn> {
         tree: &XmlTree,
         sim: &CombinedSimilarity<C>,
     ) -> DisambiguationResult {
-        self.disambiguate_selected(tree, &self.select(tree), sim)
+        self.run(tree, None, sim)
     }
 
-    /// Stage 2 of the pipeline (Section 3.3): computes the ambiguity degree
-    /// of every node and marks selected targets per the configured
-    /// threshold policy. Exposed so staged callers (e.g. batch engines
-    /// timing each stage) can run selection and disambiguation separately;
-    /// feed the result to [`Xsdf::disambiguate_selected`].
-    pub fn select(&self, tree: &XmlTree) -> Vec<NodeAmbiguity> {
-        select_targets(
-            self.sn,
-            tree,
-            self.config.ambiguity_weights,
-            self.config.threshold,
-        )
-    }
-
-    /// [`Xsdf::select`] under a resource [`Guard`]: checks the tree-size
+    /// Stage 2 of the pipeline (Section 3.3) under a resource [`Guard`]:
+    /// computes the ambiguity degree of every node and marks selected
+    /// targets per the configured threshold policy. Checks the tree-size
     /// bound and the deadline before computing ambiguity degrees, and the
-    /// selected-target bound after. Batch engines use this so one
-    /// mega-fanout or hyper-polysemous document degrades into a
-    /// per-document error instead of starving its worker.
+    /// selected-target bound after, so one mega-fanout or hyper-polysemous
+    /// document degrades into a per-document error instead of starving
+    /// its worker. Exposed so staged callers (e.g. batch engines timing
+    /// each stage) can run selection and disambiguation separately; feed
+    /// the result to [`Xsdf::disambiguate_selected_guarded`], and pass
+    /// [`Guard::unlimited`] for no bounds.
     pub fn select_guarded(
         &self,
         tree: &XmlTree,
@@ -190,39 +182,42 @@ impl<'sn> Xsdf<'sn> {
     ) -> Result<Vec<NodeAmbiguity>, GuardError> {
         guard.check_nodes(tree.len())?;
         guard.check_deadline()?;
-        let ambiguities = self.select(tree);
+        let ambiguities = select_targets(
+            self.sn,
+            tree,
+            self.config.ambiguity_weights,
+            self.config.threshold,
+        );
         guard.check_targets(ambiguities.iter().filter(|a| a.selected).count())?;
         Ok(ambiguities)
     }
 
-    fn run(&self, tree: &XmlTree, restrict: Option<&[NodeId]>) -> DisambiguationResult {
-        let mut ambiguities = self.select(tree);
+    /// Selection and disambiguation without bounds, optionally restricted
+    /// to `restrict`'s nodes.
+    fn run<C: SimilarityCache>(
+        &self,
+        tree: &XmlTree,
+        restrict: Option<&[NodeId]>,
+        sim: &CombinedSimilarity<C>,
+    ) -> DisambiguationResult {
+        // invariant: an unlimited guard has no bounds, so no check fails
+        const UNLIMITED: &str = "unlimited guard cannot trip";
+        let guard = Guard::unlimited();
+        let mut ambiguities = self.select_guarded(tree, &guard).expect(UNLIMITED);
         if let Some(nodes) = restrict {
             let wanted: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
             ambiguities.retain(|na| wanted.contains(&na.node));
         }
-        let sim = CombinedSimilarity::new(self.config.similarity);
-        self.disambiguate_selected(tree, &ambiguities, &sim)
+        self.disambiguate_selected_guarded(tree, &ambiguities, sim, &guard)
+            .expect(UNLIMITED)
     }
 
-    /// Stage 4 of the pipeline: scores and annotates the given
-    /// (pre-selected) targets, reporting one entry per element of
-    /// `ambiguities` in order.
-    pub fn disambiguate_selected<C: SimilarityCache>(
-        &self,
-        tree: &XmlTree,
-        ambiguities: &[NodeAmbiguity],
-        sim: &CombinedSimilarity<C>,
-    ) -> DisambiguationResult {
-        self.disambiguate_selected_guarded(tree, ambiguities, sim, &Guard::unlimited())
-            // invariant: an unlimited guard has no bounds, so no check fails
-            .expect("unlimited guard cannot trip")
-    }
-
-    /// [`Xsdf::disambiguate_selected`] under a resource [`Guard`]: the
-    /// deadline is re-checked per target and every 32 scored sense pairs,
-    /// and each candidate evaluation draws on the sense-pair budget (one
-    /// unit per single-sense evaluation, two per compound pair — see
+    /// Stage 4 of the pipeline under a resource [`Guard`]: scores and
+    /// annotates the given (pre-selected) targets, reporting one entry per
+    /// element of `ambiguities` in order. The deadline is re-checked per
+    /// target and every 32 scored sense pairs, and each candidate
+    /// evaluation draws on the sense-pair budget (one unit per
+    /// single-sense evaluation, two per compound pair — see
     /// [`Guard`]), so a runaway document returns a partial-result error
     /// instead of stalling its worker. The partial work is discarded —
     /// callers get `Err`, never a half-annotated tree.
@@ -693,7 +688,7 @@ mod tests {
         let sim = CombinedSimilarity::default();
 
         for (label, units_per_candidate) in [("star picture", 2), ("cast", 1)] {
-            let mut ambiguities = xsdf.select(&tree);
+            let mut ambiguities = xsdf.select_guarded(&tree, &Guard::unlimited()).unwrap();
             ambiguities.retain(|na| tree.label(na.node) == label);
             assert_eq!(ambiguities.len(), 1, "{label}");
             let candidates =
@@ -820,7 +815,7 @@ mod tests {
         let xsdf = Xsdf::new(mini_wordnet(), XsdfConfig::default());
         let doc = xmltree::parse(FIGURE1_DOC1).unwrap();
         let tree = xsdf.build_tree(&doc);
-        let ambiguities = xsdf.select(&tree);
+        let ambiguities = xsdf.select_guarded(&tree, &Guard::unlimited()).unwrap();
         let sim = CombinedSimilarity::default();
         let guard = Guard::unlimited();
         xsdf.disambiguate_selected_guarded(&tree, &ambiguities, &sim, &guard)

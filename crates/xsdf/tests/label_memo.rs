@@ -6,6 +6,7 @@ use std::cell::Cell;
 
 use semnet::mini_wordnet;
 use semsim::{CombinedSimilarity, LocalCache, PairKey, SimilarityCache};
+use xsdf::guard::Guard;
 use xsdf::{Xsdf, XsdfConfig};
 
 /// A [`LocalCache`] that counts pair lookups.
@@ -41,7 +42,11 @@ fn cast_of(k: usize) -> (u64, usize) {
     let sim = CombinedSimilarity::with_cache(config.similarity, CountingCache::default());
     let xsdf = Xsdf::new(mini_wordnet(), config);
     let tree = xsdf.build_tree(&xmltree::parse(&xml).unwrap());
-    let result = xsdf.disambiguate_selected(&tree, &xsdf.select(&tree), &sim);
+    let guard = Guard::unlimited();
+    let selected = xsdf.select_guarded(&tree, &guard).unwrap();
+    let result = xsdf
+        .disambiguate_selected_guarded(&tree, &selected, &sim, &guard)
+        .unwrap();
     assert!(
         result.assigned_count() > 0,
         "k = {k}: nothing was annotated"
