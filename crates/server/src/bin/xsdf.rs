@@ -12,14 +12,12 @@
 //! xsdf network      [--export kb.sn]                # MiniWordNet stats/export
 //! xsdf senses       <word> [--network kb.sn]        # sense inventory of a word
 //! xsdf serve        [--addr 127.0.0.1:8737] [--threads N] [--queue N] ...
-//! xsdf bench-serve  [--addr host:port] [--connections N] [--duration-ms N] ...
 //! ```
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use runtime::{BatchEngine, CacheBudget, MetricsSnapshot, ResourceLimits, ShardReport, XsdfError};
-use server::bench::{run_bench, run_soak, BenchConfig, SoakConfig};
 use server::{report, signal, Server, ServerConfig};
 use xsdf::guard::LimitKind;
 use xsdf::{DisambiguationProcess, ThresholdPolicy, Xsdf, XsdfConfig};
@@ -44,7 +42,6 @@ fn main() -> ExitCode {
         "import-wndb" => cmd_import_wndb(&args[1..]),
         "senses" => cmd_senses(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "bench-serve" => cmd_bench_serve(&args[1..]),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -79,7 +76,6 @@ USAGE:
                                              cold-starts as one read instead of a rebuild
     xsdf senses       <word> [options]       list a word's senses
     xsdf serve        [options]              resident HTTP service (see SERVE OPTIONS)
-    xsdf bench-serve  [options]              closed-loop load bench against a server
 
 OPTIONS:
     --network <file>      load a semantic network instead of MiniWordNet; the
@@ -126,7 +122,7 @@ BATCH OPTIONS:
     --keep-going          process every document despite failures [default]
     --fail-fast           stop scheduling documents after the first failure
 
-CACHE OPTIONS (batch + serve + self-hosted bench-serve):
+CACHE OPTIONS (batch + serve):
     --cache-entries <N>   cap EACH similarity-cache table (pair scores,
                           context vectors) at N entries; coldest evicted
                           first (0 = unbounded)                  [default: 0]
@@ -154,24 +150,6 @@ SERVE OPTIONS (plus the shared pipeline + resource + cache options above):
     Shutdown:  POST /shutdown or Ctrl-C drains (in-flight requests finish);
                a second Ctrl-C aborts immediately (exit 130).
 
-BENCH-SERVE OPTIONS:
-    --addr <host:port>    bench an already-running server; omit to self-host
-                          an in-process server on a free port
-    --connections <N>     concurrent closed-loop connections     [default: 2]
-    --warmup-ms <N>       untimed cache-warming phase            [default: 3000]
-    --duration-ms <N>     timed measurement window               [default: 10000]
-    --threads <N>         (self-hosted) worker permits; 0 = auto [default: 0]
-    --query <q>           query string for /disambiguate, e.g. radius=2
-    --out <file>          report path                  [default: BENCH_serve.json]
-    --soak                soak mode: send a fixed number of requests over a
-                          STREAMING corpus (fresh documents, growing key
-                          space) while sampling /metrics gauges — writes
-                          BENCH_soak.json proving cache_bytes stays under
-                          the byte budget
-    --requests <N>        (soak) total requests        [default: 5000; quick 300]
-    --sample-ms <N>       (soak) gauge sample interval [default: 500; quick 100]
-    XSDF_BENCH_QUICK=1 shrinks warmup/duration/requests to a smoke test.
-
 EXIT CODES (batch):
     0  every document succeeded
     2  some documents failed (each is reported on stderr with its kind),
@@ -186,7 +164,6 @@ const SWITCHES: &[&str] = &[
     "--annotate",
     "--keep-going",
     "--fail-fast",
-    "--soak",
 ];
 
 /// Flags that take one value. `--shard-out` is internal: the sharded
@@ -195,10 +172,8 @@ const VALUED: &[&str] = &[
     "--addr",
     "--cache-bytes",
     "--cache-entries",
-    "--connections",
     "--count",
     "--deadline-ms",
-    "--duration-ms",
     "--export",
     "--max-bytes",
     "--max-connections",
@@ -210,11 +185,8 @@ const VALUED: &[&str] = &[
     "--network",
     "--out",
     "--process",
-    "--query",
     "--queue",
     "--radius",
-    "--requests",
-    "--sample-ms",
     "--seed",
     "--shard-out",
     "--shards",
@@ -224,7 +196,6 @@ const VALUED: &[&str] = &[
     "--threshold",
     "--trace",
     "--trace-jsonl",
-    "--warmup-ms",
     "--wndb",
 ];
 
@@ -235,14 +206,19 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Wraps `args`, rejecting any `--flag` no subcommand reads, so a typo
-    /// or a retired option is a usage error instead of a silent no-op.
+    /// or a retired option is a usage error instead of a silent no-op, and
+    /// a valued flag without its value, so `--metrics --quiet` cannot
+    /// write the metrics to a file named `--quiet`.
     fn new(args: &'a [String]) -> Result<Self, String> {
         let mut i = 0;
         while i < args.len() {
             let a = args[i].as_str();
             if a.starts_with("--") {
                 if VALUED.contains(&a) {
-                    i += 1; // skip the flag's value
+                    match args.get(i + 1) {
+                        Some(value) if !value.starts_with("--") => i += 1,
+                        _ => return Err(format!("missing value for {a} (see `xsdf help`)")),
+                    }
                 } else if !SWITCHES.contains(&a) {
                     return Err(format!("unknown flag {a:?} (see `xsdf help`)"));
                 }
@@ -998,7 +974,7 @@ fn build_cache_budget(flags: &Flags) -> Result<CacheBudget, String> {
     })
 }
 
-/// Parses the serve/bench flags shared with [`ServerConfig`].
+/// Parses the `serve` flags into a [`ServerConfig`].
 fn build_server_config(flags: &Flags) -> Result<ServerConfig, String> {
     let base = build_config(flags)?;
     let (limits, deadline) = build_limits(flags)?;
@@ -1073,154 +1049,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         "drained: {} document(s) ({} failed), {} response(s) over {} connection(s)",
         summary.documents, summary.failed, summary.responses, summary.connections
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::new(args)?;
-    let quick = std::env::var_os("XSDF_BENCH_QUICK").is_some();
-    if flags.has("--soak") {
-        return cmd_soak(&flags, quick);
-    }
-    let (default_warmup_ms, default_duration_ms) = if quick { (300, 700) } else { (3000, 10_000) };
-    let mut bench = BenchConfig {
-        addr: String::new(),
-        connections: flags.parsed("--connections")?.unwrap_or(2),
-        warmup: Duration::from_millis(flags.parsed("--warmup-ms")?.unwrap_or(default_warmup_ms)),
-        duration: Duration::from_millis(
-            flags
-                .parsed("--duration-ms")?
-                .unwrap_or(default_duration_ms),
-        ),
-        query: flags.value("--query").unwrap_or("").to_string(),
-    };
-    let mode = if quick { "quick" } else { "full" };
-
-    let report = match flags.value("--addr") {
-        Some(addr) => {
-            bench.addr = addr.to_string();
-            run_bench(&bench)?
-        }
-        None => {
-            // Self-hosted: spin up an in-process server on a free port,
-            // bench it, drain it.
-            let network = load_network(&flags)?;
-            let mut server_config = build_server_config(&flags)?;
-            server_config.addr = "127.0.0.1:0".to_string();
-            let server = Server::bind(network.get(), server_config)
-                .map_err(|e| format!("cannot bind self-hosted server: {e}"))?;
-            bench.addr = server.local_addr().to_string();
-            eprintln!(
-                "self-hosted server on {} ({} workers)",
-                bench.addr,
-                server.workers()
-            );
-            let handle = server.handle();
-            let mut outcome = Err("bench did not run".to_string());
-            std::thread::scope(|s| {
-                let serving = s.spawn(|| server.run());
-                outcome = run_bench(&bench);
-                handle.shutdown();
-                let _ = serving.join();
-            });
-            outcome?
-        }
-    };
-
-    eprintln!(
-        "bench-serve: {} connections, {} warmup + {} measured requests, {} errors",
-        report.connections, report.warmup_requests, report.requests, report.errors
-    );
-    eprintln!(
-        "  sustained {:.1} docs/s | p50 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-        report.docs_per_sec(),
-        report.latency.p50().as_secs_f64() * 1e3,
-        report.latency.p99().as_secs_f64() * 1e3,
-        report.latency.max().as_secs_f64() * 1e3,
-    );
-    let json = report.to_json(mode);
-    let out = flags.value("--out").unwrap_or("BENCH_serve.json");
-    std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    eprintln!("wrote {out}");
-    print!("{json}");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `xsdf bench-serve --soak`: fixed request count over a streaming
-/// corpus with a `/metrics` gauge sampler, written as `BENCH_soak.json`.
-fn cmd_soak(flags: &Flags, quick: bool) -> Result<ExitCode, String> {
-    let (default_requests, default_sample_ms) = if quick { (300, 100) } else { (5000, 500) };
-    let mut soak = SoakConfig {
-        addr: String::new(),
-        connections: flags.parsed("--connections")?.unwrap_or(2),
-        requests: flags.parsed("--requests")?.unwrap_or(default_requests),
-        sample_every: Duration::from_millis(
-            flags.parsed("--sample-ms")?.unwrap_or(default_sample_ms),
-        ),
-        query: flags.value("--query").unwrap_or("").to_string(),
-        rss_self: false,
-    };
-    let mode = if quick { "quick" } else { "full" };
-    // The budget echoed into the artifact: for a self-hosted run these
-    // same flags configure the server, so the echo is authoritative; for
-    // --addr the caller passes the budget the remote server runs with.
-    let budget = build_cache_budget(flags)?;
-
-    let report = match flags.value("--addr") {
-        Some(addr) => {
-            soak.addr = addr.to_string();
-            run_soak(&soak, budget)?
-        }
-        None => {
-            let network = load_network(flags)?;
-            let mut server_config = build_server_config(flags)?;
-            server_config.addr = "127.0.0.1:0".to_string();
-            let server = Server::bind(network.get(), server_config)
-                .map_err(|e| format!("cannot bind self-hosted server: {e}"))?;
-            soak.addr = server.local_addr().to_string();
-            // The server lives in this process, so VmRSS is its RSS too.
-            soak.rss_self = true;
-            eprintln!(
-                "self-hosted server on {} ({} workers, cache budget: {} entries / {} bytes)",
-                soak.addr,
-                server.workers(),
-                budget.max_entries,
-                budget.max_bytes
-            );
-            let handle = server.handle();
-            let mut outcome = Err("soak did not run".to_string());
-            std::thread::scope(|s| {
-                let serving = s.spawn(|| server.run());
-                outcome = run_soak(&soak, budget);
-                handle.shutdown();
-                let _ = serving.join();
-            });
-            outcome?
-        }
-    };
-
-    eprintln!(
-        "soak: {} connections, {} ok / {} errors ({} sheds, {} retries), {} samples",
-        report.connections,
-        report.requests,
-        report.errors,
-        report.sheds,
-        report.retries,
-        report.samples.len()
-    );
-    eprintln!(
-        "  {:.1} docs/s | p50 {:.3} ms  p99 {:.3} ms | cache_bytes max {} (budget {})",
-        report.docs_per_sec(),
-        report.latency.p50().as_secs_f64() * 1e3,
-        report.latency.p99().as_secs_f64() * 1e3,
-        report.cache_bytes_max(),
-        report.budget.max_bytes,
-    );
-    let json = report.to_json(mode);
-    let out = flags.value("--out").unwrap_or("BENCH_soak.json");
-    std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    eprintln!("wrote {out}");
-    print!("{json}");
     Ok(ExitCode::SUCCESS)
 }
 

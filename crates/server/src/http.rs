@@ -542,8 +542,8 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Client side: just enough to drive the server from the load generator
-// and the protocol tests.
+// Client side: just enough to drive the server from the benchmark
+// (`perfbench`) and the protocol tests.
 // ---------------------------------------------------------------------
 
 /// One response as seen by the minimal client.

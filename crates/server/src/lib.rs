@@ -25,9 +25,8 @@
 //!   [`runtime::DocOutcome`], exported through
 //!   [`runtime::MetricsSnapshot::to_json_extended`] as one flat JSON
 //!   object on `GET /metrics`;
-//! * [`mod@bench`] — a closed-loop load generator (`xsdf bench-serve`):
-//!   N keep-alive connections replay a fixed corpus through a warmup then
-//!   a measured window, reporting sustained docs/sec and tail latency;
+//! * [`mod@bench`] — the process's peak resident set size, which
+//!   benchmark reports quote;
 //! * [`report`] — the slow-document report formatter shared byte-for-byte
 //!   between `xsdf batch --slow-ms` and the server's live slow-request
 //!   stream;
@@ -36,8 +35,7 @@
 //!   first-interrupt drain and hard second-interrupt exit.
 //!
 //! The `xsdf` CLI binary lives here (not in `xsdf-runtime`) because the
-//! `serve` and `bench-serve` commands need this crate, which itself
-//! depends on the runtime.
+//! `serve` command needs this crate, which itself depends on the runtime.
 //!
 //! Protocol sketch:
 //!
@@ -59,5 +57,4 @@ pub mod service;
 pub mod signal;
 pub mod stats;
 
-pub use bench::{BenchConfig, BenchReport};
 pub use service::{Server, ServerConfig, ServerHandle, ServerSummary};

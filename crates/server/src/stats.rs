@@ -35,7 +35,7 @@ pub struct ServerStats {
     pub http: BTreeMap<u16, u64>,
     /// `/disambiguate` requests turned away with 429 (wait queue full).
     pub rejected_queue_full: u64,
-    /// Connections turned away with 503 while draining.
+    /// `/disambiguate` requests refused with 503 while draining.
     pub rejected_draining: u64,
     /// Connections turned away with 503 at the connection cap.
     pub rejected_over_capacity: u64,

@@ -561,25 +561,30 @@ fn batch_rejects_contradictory_failure_modes() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let output = xsdf().arg("frobnicate").output().unwrap();
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("USAGE"));
+    for command in ["frobnicate", "bench-serve"] {
+        let output = xsdf().arg(command).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command \"{command}\"")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{stderr}");
+    }
 }
 
 #[test]
 fn unknown_flags_are_usage_errors() {
     let doc = write_temp("unknown-flag.xml", "<cast><star>Kelly</star></cast>");
-    for (command, flag, value) in [
-        ("batch", "--prune", "exact"),
-        ("batch", "--max-sense-pairs", "5"),
-        ("disambiguate", "--radus", "2"),
+    for (command, args) in [
+        ("batch", &["--prune", "exact"][..]),
+        ("batch", &["--max-sense-pairs", "5"]),
+        ("disambiguate", &["--radus", "2"]),
+        ("batch", &["--soak"]),
+        ("batch", &["--connections", "2"]),
     ] {
-        let output = xsdf()
-            .arg(command)
-            .arg(&doc)
-            .args([flag, value])
-            .output()
-            .unwrap();
+        let flag = args[0];
+        let output = xsdf().arg(command).arg(&doc).args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{command} {flag}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
@@ -588,6 +593,45 @@ fn unknown_flags_are_usage_errors() {
         );
         assert!(output.stdout.is_empty(), "{flag} must not run the command");
     }
+}
+
+/// A valued flag takes the next argument as its value, so a flag left
+/// without one, or followed by another flag, is a usage error: it used to
+/// run with the default, or write `--metrics` to a file named `--quiet`.
+#[test]
+fn valued_flags_without_a_value_are_usage_errors() {
+    let doc = write_temp("missing-value.xml", "<cast><star>Kelly</star></cast>");
+    let dir = std::env::temp_dir().join(format!("xsdf-cli-missing-value-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (command, args) in [
+        ("batch", &["--metrics", "--quiet"][..]),
+        ("batch", &["--metrics"]),
+        ("disambiguate", &["--radius"]),
+    ] {
+        let flag = args[0];
+        let output = xsdf()
+            .current_dir(&dir)
+            .arg(command)
+            .arg(&doc)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{command} {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("missing value for {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} must not run the command"
+        );
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "no metrics file may be written"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -57,6 +57,16 @@ fn body_str(response: &ClientResponse) -> String {
     String::from_utf8_lossy(&response.body).into_owned()
 }
 
+/// A fixed generated corpus, serialized compact.
+fn corpus_documents() -> Vec<String> {
+    let sn = semnet::mini_wordnet();
+    corpus::Corpus::generate_small(sn, 11, 2)
+        .documents()
+        .iter()
+        .map(|d| xmltree::serialize::to_string_compact(&d.doc))
+        .collect()
+}
+
 #[test]
 fn healthz_metrics_and_routing() {
     with_server(ServerConfig::default(), |addr| {
@@ -283,7 +293,7 @@ fn queue_full_gets_429_with_retry_after() {
         queue: 1,
         ..ServerConfig::default()
     };
-    let docs = server::bench::corpus_documents();
+    let docs = corpus_documents();
     let summary = with_server(config, |addr| {
         let saw_429 = std::sync::atomic::AtomicUsize::new(0);
         let saw_200 = std::sync::atomic::AtomicUsize::new(0);
@@ -372,7 +382,7 @@ fn concurrent_clients_get_byte_identical_responses() {
 /// a complete response delivered to a client, at 1, 2, and 8 workers.
 #[test]
 fn shutdown_drains_accepted_requests_at_1_2_and_8_workers() {
-    let docs = server::bench::corpus_documents();
+    let docs = corpus_documents();
     for workers in [1usize, 2, 8] {
         let config = ServerConfig {
             workers,
@@ -605,6 +615,179 @@ fn non_utf8_body_is_a_counted_parse_failure() {
     });
 }
 
+/// The keys of a flat JSON object, in order.
+fn json_keys(json: &str) -> Vec<&str> {
+    json.lines()
+        .filter_map(|line| line.trim_start().strip_prefix('"')?.split('"').next())
+        .collect()
+}
+
+/// README's serving-layer key table lists exactly the keys `/metrics`
+/// appends after the snapshot's own, as README's snapshot table is
+/// checked against `MetricsSnapshot::to_json`. `http_<status>` stands
+/// for one key per status code served.
+#[test]
+fn readme_serving_key_table_matches_the_metrics_keys() {
+    let readme = include_str!("../../../README.md");
+    let mut documented: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| serving key | unit | meaning |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .flat_map(|row| {
+            let key_cell = row.split('|').nth(1).expect("a key cell");
+            key_cell.split('`').skip(1).step_by(2)
+        })
+        .collect();
+
+    let mut served = String::new();
+    with_server(ServerConfig::default(), |addr| {
+        let response = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
+        assert_eq!(response.status, 200);
+        assert_eq!(request(addr, "GET", "/healthz", b"").status, 200);
+        assert_eq!(request(addr, "GET", "/metrics", b"").status, 200);
+        served = body_str(&request(addr, "GET", "/metrics", b""));
+    });
+    assert!(served.contains("\"server_state\": \"running\""), "{served}");
+    assert_eq!(json_u64(&served, "documents"), 1, "{served}");
+    let keys = json_keys(&served);
+    let unique: std::collections::BTreeSet<&str> = keys.iter().copied().collect();
+    assert_eq!(unique.len(), keys.len(), "duplicate keys in {served}");
+
+    let snapshot_json = runtime::MetricsSnapshot::default().to_json();
+    let snapshot_keys = json_keys(&snapshot_json);
+    assert_eq!(snapshot_keys.len(), 51, "{snapshot_json}");
+    assert_eq!(keys[..snapshot_keys.len()], snapshot_keys[..], "{served}");
+
+    let mut appended: Vec<&str> = keys[snapshot_keys.len()..]
+        .iter()
+        .map(|&key| match key.strip_prefix("http_") {
+            Some(status) if status.bytes().all(|b| b.is_ascii_digit()) => "http_<status>",
+            _ => key,
+        })
+        .collect();
+    appended.sort_unstable();
+    appended.dedup();
+    documented.sort_unstable();
+    assert_eq!(
+        documented, appended,
+        "README's serving-layer key table must list exactly the keys /metrics appends"
+    );
+}
+
+/// A byte-bounded cache holds its budget while the key space keeps
+/// growing: two keep-alive connections post 400 fresh documents of one
+/// seeded stream, each connection taking every other position, while a
+/// third thread scrapes `/metrics`. Every sampled `cache_bytes`, and the
+/// lifetime high watermark `cache_bytes_peak`, stays within the budget,
+/// the cache evicts, and no request fails.
+#[test]
+fn byte_budget_holds_at_every_sample_over_a_streaming_corpus() {
+    const BUDGET: u64 = 65_536;
+    const DOCUMENTS: u64 = 400;
+    const CONNECTIONS: u64 = 2;
+    const STREAM_SEED: u64 = 0x50AC;
+    let config = ServerConfig {
+        cache_budget: runtime::CacheBudget {
+            max_entries: 0,
+            max_bytes: BUDGET as usize,
+        },
+        ..ServerConfig::default()
+    };
+    let connect = |addr| {
+        let stream = TcpStream::connect(addr).expect("connect");
+        (stream, Vec::new())
+    };
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let mut samples: Vec<u64> = Vec::new();
+    let mut errors = 0;
+    let mut last = String::new();
+    with_server(config, |addr| {
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CONNECTIONS)
+                .map(|first| {
+                    scope.spawn(move || {
+                        let sn = semnet::mini_wordnet();
+                        let (mut stream, mut carry) = connect(addr);
+                        let mut errors = 0u64;
+                        for pos in (first..DOCUMENTS).step_by(CONNECTIONS as usize) {
+                            let doc = corpus::stream::document_at(sn, STREAM_SEED, pos);
+                            let xml = xmltree::serialize::to_string_compact(&doc.doc);
+                            let response = http::client_roundtrip(
+                                &mut stream,
+                                &mut carry,
+                                "POST",
+                                "/disambiguate",
+                                &[("Content-Type", "application/xml")],
+                                xml.as_bytes(),
+                            );
+                            let reconnect = match response {
+                                Ok(response) => {
+                                    errors += u64::from(response.status != 200);
+                                    response.close
+                                }
+                                Err(_) => {
+                                    errors += 1;
+                                    true
+                                }
+                            };
+                            if reconnect {
+                                (stream, carry) = connect(addr);
+                            }
+                        }
+                        errors
+                    })
+                })
+                .collect();
+            let sampler = scope.spawn(|| {
+                let (mut stream, mut carry) = connect(addr);
+                let mut samples = Vec::new();
+                loop {
+                    // Read the flag first, so the last sample is taken
+                    // after every client finished.
+                    let finished = done.load(std::sync::atomic::Ordering::SeqCst);
+                    let response = http::client_roundtrip(
+                        &mut stream,
+                        &mut carry,
+                        "GET",
+                        "/metrics",
+                        &[],
+                        b"",
+                    )
+                    .expect("scrape /metrics");
+                    samples.push(json_u64(&body_str(&response), "cache_bytes"));
+                    if finished {
+                        return samples;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            });
+            let outcomes: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            samples = sampler.join().expect("sampler thread");
+            errors = outcomes
+                .into_iter()
+                .map(|outcome| outcome.expect("client thread"))
+                .sum();
+        });
+        last = body_str(&request(addr, "GET", "/metrics", b""));
+    });
+
+    assert_eq!(errors, 0, "every request must succeed: {last}");
+    assert!(samples.len() >= 2, "{samples:?}");
+    for (i, bytes) in samples.iter().enumerate() {
+        assert!(
+            *bytes <= BUDGET,
+            "sample {i}: cache_bytes {bytes} over {BUDGET}"
+        );
+    }
+    let peak = json_u64(&last, "cache_bytes_peak");
+    assert!(peak <= BUDGET, "cache_bytes_peak {peak} over {BUDGET}");
+    assert!(json_u64(&last, "cache_evictions") > 0, "{last}");
+    assert_eq!(json_u64(&last, "documents"), DOCUMENTS, "{last}");
+    assert_eq!(json_u64(&last, "failed_documents"), 0, "{last}");
+}
+
 // ---------------------------------------------------------------------
 // Process-level: the actual binary.
 // ---------------------------------------------------------------------
@@ -615,7 +798,7 @@ fn non_utf8_body_is_a_counted_parse_failure() {
 fn serve_body_matches_batch_annotate_bytes() {
     let dir = std::env::temp_dir().join(format!("xsdf-serve-eq-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let docs = server::bench::corpus_documents();
+    let docs = corpus_documents();
     let mut cases = vec![HEALTHY.to_string()];
     cases.extend(docs.iter().take(3).cloned());
 
