@@ -11,19 +11,36 @@
 //! same shard) never serialize, and writers only lock 1/16th of a table.
 //! Stored `Arc<SparseVector>` values make vector hits clone-free.
 //!
+//! # Read path
+//!
+//! A hit costs two [`semsim::KeyHasher`] passes (one folded multiply per key
+//! word), a shared lock on one shard and the map probe; it writes nothing
+//! shared on an unbounded table. The shard pick hashes unseeded
+//! ([`KeyHashBuilder::UNSEEDED`]), so a key lands in the same shard in
+//! every process and the per-shard budgets evict the same entries in
+//! every single-threaded run. The shard maps hash with the per-process
+//! seed ([`KeyHashBuilder::default`]), since their keys come from
+//! untrusted documents. The cache keeps no hit or miss totals: each
+//! worker counts its own lookups through a [`TallyCache`].
+//!
 //! # Bounded operation
 //!
 //! A batch over 32 documents can let the cache grow freely; a resident
 //! server cannot — the working set of a streaming corpus grows without
 //! bound. [`SharedCache::with_budget`] turns on eviction:
 //!
-//! * **Recency tracking** is clock-style: every entry carries a stamp from
-//!   a per-table logical clock, refreshed on hit with a relaxed atomic
-//!   store — the hot read path never takes a write lock.
+//! * **Recency tracking** is by insert epoch: each shard counts its
+//!   inserts under its write lock, and every entry carries the epoch of
+//!   its last use. A hit under the *read* lock stores the shard's current
+//!   epoch into the entry, and only when the entry holds a different one,
+//!   so the hot read path neither takes a write lock nor touches an
+//!   atomic shared by the whole table.
 //! * **Eviction** happens on insert, per shard, while the write lock is
 //!   already held: when the shard would exceed its slice of the entry or
-//!   byte budget, the coldest segment (lowest stamps, at least a quarter
-//!   of the shard) is dropped in one batch, amortizing the sort.
+//!   byte budget, the coldest segment (lowest `(stamp, key)`, at least a
+//!   quarter of the shard) is dropped in one batch, amortizing the sort.
+//!   Entries used within one epoch tie on the stamp; the key breaks the
+//!   tie, so a single-threaded run evicts the same entries every time.
 //! * **Byte accounting** charges each entry its key + slot footprint plus,
 //!   for vectors, [`SparseVector::heap_bytes`]. Budgets are split across
 //!   shards up front (and, for bytes, halved between the two tables), so
@@ -34,10 +51,10 @@
 //! `CacheBudget::unbounded()` (both limits 0) preserves the original
 //! behavior exactly: no stamps are refreshed, nothing is ever evicted.
 
-use semsim::{PairKey, SimilarityCache, SparseVector, VectorKey};
+use semsim::{KeyHashBuilder, PairKey, SimilarityCache, SparseVector, VectorKey};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -86,22 +103,27 @@ struct Slot<V> {
     value: V,
     /// Bytes charged against the shard budget when this entry landed.
     cost: usize,
-    /// Logical insertion/access time; refreshed on hit (relaxed store
-    /// under the read lock), compared when picking eviction victims.
+    /// The shard's insert epoch at this entry's last use: set on insert,
+    /// refreshed on hit (relaxed store under the read lock), compared
+    /// when picking eviction victims.
     stamp: AtomicU64,
 }
 
-/// The locked interior of one shard: the map plus its byte footprint.
+/// The locked interior of one shard: the map, its byte footprint and its
+/// insert epoch.
 struct ShardMap<K, V> {
-    map: HashMap<K, Slot<V>>,
+    map: HashMap<K, Slot<V>, KeyHashBuilder>,
     bytes: usize,
+    /// Inserts into this shard so far; only advanced under the write lock.
+    epoch: u64,
 }
 
 impl<K, V> ShardMap<K, V> {
-    fn new() -> Self {
+    fn new(hasher: KeyHashBuilder) -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::with_hasher(hasher),
             bytes: 0,
+            epoch: 0,
         }
     }
 }
@@ -142,8 +164,6 @@ impl Counters {
 /// One 16-way sharded, optionally bounded table.
 struct Table<K, V> {
     shards: [RwLock<ShardMap<K, V>>; SHARDS],
-    /// Logical clock driving recency stamps. Only advanced when bounded.
-    clock: AtomicU64,
     /// Per-shard entry caps (`usize::MAX` = unbounded). Budgets are
     /// distributed with remainder so the caps sum exactly to the total.
     entry_caps: [usize; SHARDS],
@@ -166,11 +186,15 @@ fn distribute(total: usize) -> [usize; SHARDS] {
     std::array::from_fn(|i| total / SHARDS + usize::from(i < total % SHARDS))
 }
 
-impl<K: Eq + Hash + Copy, V: Clone> Table<K, V> {
-    fn new(max_entries: usize, max_bytes: usize, fp_ctx: &'static str) -> Self {
+impl<K: Ord + Hash + Copy, V: Clone> Table<K, V> {
+    fn new(
+        max_entries: usize,
+        max_bytes: usize,
+        fp_ctx: &'static str,
+        hasher: KeyHashBuilder,
+    ) -> Self {
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(ShardMap::new())),
-            clock: AtomicU64::new(0),
+            shards: std::array::from_fn(|_| RwLock::new(ShardMap::new(hasher))),
             entry_caps: distribute(max_entries),
             byte_caps: distribute(max_bytes),
             bounded: max_entries != 0 || max_bytes != 0,
@@ -178,10 +202,10 @@ impl<K: Eq + Hash + Copy, V: Clone> Table<K, V> {
         }
     }
 
+    /// The shard `key` is filed under: its unseeded
+    /// [`semsim::KeyHasher`] hash, so the same in every process.
     fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & (SHARDS - 1)
+        (KeyHashBuilder::UNSEEDED.hash_one(key) as usize) & (SHARDS - 1)
     }
 
     // Poisoned-shard audit: the batch engine catches panics at the document
@@ -209,17 +233,14 @@ impl<K: Eq + Hash + Copy, V: Clone> Table<K, V> {
 
     fn get(&self, key: &K) -> Option<V> {
         let shard = self.read_shard(self.shard_index(key));
-        shard.map.get(key).map(|slot| {
-            if self.bounded {
-                // Recency refresh under the *read* lock: hits stay
-                // contention-free, eviction still sees warm entries last.
-                slot.stamp.store(
-                    self.clock.fetch_add(1, Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
-            }
-            slot.value.clone()
-        })
+        let slot = shard.map.get(key)?;
+        // Recency refresh under the *read* lock, and only once per entry
+        // and epoch: hits stay contention-free, eviction still sees warm
+        // entries last.
+        if self.bounded && slot.stamp.load(Ordering::Relaxed) != shard.epoch {
+            slot.stamp.store(shard.epoch, Ordering::Relaxed);
+        }
+        Some(slot.value.clone())
     }
 
     /// Inserts `key → value` charging `cost` bytes, evicting the coldest
@@ -248,11 +269,14 @@ impl<K: Eq + Hash + Copy, V: Clone> Table<K, V> {
             evicted += n;
             freed += b;
         }
-        // Stamps advance on every insert (inserts are rare and already
+        // The epoch advances on every insert (inserts are rare and already
         // write-locked), so even an unbounded table trims oldest-first
         // under the server's watermark path; only the hit-refresh is gated
-        // on `bounded` to keep the unbounded hot path store-free.
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        // on `bounded` to keep the unbounded hot path store-free. Hits
+        // after this insert stamp the new epoch, so they rank warmer than
+        // the entry stored here.
+        let stamp = shard.epoch;
+        shard.epoch += 1;
         shard.map.insert(
             key,
             Slot {
@@ -290,11 +314,13 @@ impl<K: Eq + Hash + Copy, V: Clone> Table<K, V> {
     }
 }
 
-/// Evicts the coldest entries (lowest stamps) from `shard` until it holds
-/// at most `max_entries` entries and `max_bytes` bytes — but always at
-/// least a quarter of the shard, so the per-insert sort amortizes to
-/// O(log n). Returns `(entries_evicted, bytes_freed)`.
-fn evict_coldest<K: Eq + Hash + Copy, V>(
+/// Evicts the coldest entries (lowest `(stamp, key)`) from `shard` until
+/// it holds at most `max_entries` entries and `max_bytes` bytes — but
+/// always at least a quarter of the shard, so the per-insert sort
+/// amortizes to O(log n). Entries used within one epoch share a stamp, so
+/// the key breaks the tie and the victims do not depend on the map's
+/// per-process iteration order. Returns `(entries_evicted, bytes_freed)`.
+fn evict_coldest<K: Ord + Hash + Copy, V>(
     shard: &mut ShardMap<K, V>,
     max_entries: usize,
     max_bytes: usize,
@@ -308,7 +334,7 @@ fn evict_coldest<K: Eq + Hash + Copy, V>(
         .iter()
         .map(|(k, slot)| (slot.stamp.load(Ordering::Relaxed), *k))
         .collect();
-    order.sort_unstable_by_key(|&(stamp, _)| stamp);
+    order.sort_unstable();
     let quarter = shard.map.len().div_ceil(4);
     let mut evicted = 0u64;
     let mut freed = 0usize;
@@ -327,7 +353,8 @@ fn evict_coldest<K: Eq + Hash + Copy, V>(
 }
 
 /// A sharded, thread-safe concept-pair + context-vector cache with
-/// hit/miss accounting, optional capacity bounds, and byte accounting.
+/// optional capacity bounds and byte accounting. Hits and misses are
+/// counted per worker, by a [`TallyCache`] over it.
 ///
 /// Implements [`SimilarityCache`], so a
 /// [`CombinedSimilarity`](semsim::CombinedSimilarity) scores straight
@@ -338,10 +365,6 @@ pub struct SharedCache {
     vectors: Table<VectorKey, Arc<SparseVector>>,
     budget: CacheBudget,
     counters: Counters,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    vector_hits: AtomicU64,
-    vector_misses: AtomicU64,
 }
 
 /// Bytes charged for one pair-score entry (key + slot + map overhead).
@@ -371,6 +394,12 @@ impl SharedCache {
     /// An empty cache enforcing `budget` (see [`CacheBudget`] for how the
     /// limits are split across tables and shards).
     pub fn with_budget(budget: CacheBudget) -> Self {
+        Self::with_budget_and_hasher(budget, KeyHashBuilder::default())
+    }
+
+    /// [`SharedCache::with_budget`] with the shard maps hashing through
+    /// `hasher` (tests stand in another process's seed with it).
+    fn with_budget_and_hasher(budget: CacheBudget, hasher: KeyHashBuilder) -> Self {
         // The byte budget covers both tables; each gets half, remainder to
         // the vector table (its entries are the big ones).
         let (pair_bytes, vector_bytes) = if budget.max_bytes == 0 {
@@ -380,14 +409,10 @@ impl SharedCache {
             (half, budget.max_bytes - half)
         };
         Self {
-            pairs: Table::new(budget.max_entries, pair_bytes, "pair"),
-            vectors: Table::new(budget.max_entries, vector_bytes, "vector"),
+            pairs: Table::new(budget.max_entries, pair_bytes, "pair", hasher),
+            vectors: Table::new(budget.max_entries, vector_bytes, "vector", hasher),
             budget,
             counters: Counters::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            vector_hits: AtomicU64::new(0),
-            vector_misses: AtomicU64::new(0),
         }
     }
 
@@ -429,38 +454,6 @@ impl SharedCache {
         }
         evicted
     }
-
-    /// Lookups that found a cached score.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that missed (each followed by a fresh computation).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
-    /// Vector-table lookups that found a cached context vector.
-    pub fn vector_hits(&self) -> u64 {
-        self.vector_hits.load(Ordering::Relaxed)
-    }
-
-    /// Vector-table lookups that missed (each followed by a fresh sphere
-    /// BFS + vector build).
-    pub fn vector_misses(&self) -> u64 {
-        self.vector_misses.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for SharedCache {
@@ -476,25 +469,13 @@ impl std::fmt::Debug for SharedCache {
             .field("vector_entries", &self.vectors_len())
             .field("bytes", &self.bytes())
             .field("evictions", &self.evictions())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .finish()
     }
 }
 
 impl SimilarityCache for SharedCache {
     fn lookup(&self, key: PairKey) -> Option<f64> {
-        let found = self.pairs.get(&key);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.pairs.get(&key)
     }
 
     fn store(&self, key: PairKey, value: f64) {
@@ -506,17 +487,7 @@ impl SimilarityCache for SharedCache {
     }
 
     fn lookup_vector(&self, key: VectorKey) -> Option<Arc<SparseVector>> {
-        let found = self.vectors.get(&key);
-        match found {
-            Some(v) => {
-                self.vector_hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.vector_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.vectors.get(&key)
     }
 
     fn store_vector(&self, key: VectorKey, value: Arc<SparseVector>) {
@@ -529,12 +500,12 @@ impl SimilarityCache for SharedCache {
     }
 }
 
-/// A per-worker view of the [`SharedCache`] that additionally tallies this
-/// worker's own hits and misses.
+/// A per-worker view of the [`SharedCache`] that tallies this worker's own
+/// hits and misses.
 ///
-/// The shared cache's global counters are cumulative across *every* run
-/// that ever touched the cache, so two concurrent [`crate::BatchEngine`]
-/// runs sharing an engine would skew each other's before/after deltas.
+/// The shared cache keeps no lookup totals: a counter every worker bumps
+/// would put one contended cache line on every hit, and would mix the
+/// counts of concurrent [`crate::BatchEngine`] runs sharing an engine.
 /// Each worker instead scores through its own `TallyCache`; the engine
 /// sums the tallies, giving exact per-run hit/miss counts no matter how
 /// many runs share the underlying table.
@@ -664,13 +635,18 @@ mod tests {
             sn.by_key("star.performer").unwrap(),
         );
         let key = pair_key(a, b);
-        let cache = SharedCache::new();
-        assert_eq!(cache.lookup(key), None);
-        cache.store(key, 0.5);
-        assert_eq!(cache.lookup(key), Some(0.5));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let cache = Arc::new(SharedCache::new());
+        let tally = TallyCache::new(Arc::clone(&cache));
+        assert_eq!(tally.lookup(key), None);
+        tally.store(key, 0.5);
+        assert_eq!(tally.lookup(key), Some(0.5));
+        assert_eq!(
+            cache.lookup(key),
+            Some(0.5),
+            "the store lands in the shared table"
+        );
+        assert_eq!((tally.hits(), tally.misses()), (1, 1));
         assert_eq!(cache.len(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -678,18 +654,22 @@ mod tests {
         // Two measures over one cache: the second sees the first's work.
         let sn = mini_wordnet();
         let cache = Arc::new(SharedCache::new());
-        let m1 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), Arc::clone(&cache));
-        let m2 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), Arc::clone(&cache));
+        let view = || TallyCache::new(Arc::clone(&cache));
+        let m1 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), view());
+        let m2 = CombinedSimilarity::with_cache(SimilarityWeights::equal(), view());
         let (a, b) = (
             sn.by_key("kelly.grace").unwrap(),
             sn.by_key("stewart.james").unwrap(),
         );
         let v1 = m1.similarity(sn, a, b);
-        let misses_after_first = cache.misses();
+        assert_eq!((m1.cache().hits(), m1.cache().misses()), (0, 1));
         let v2 = m2.similarity(sn, b, a); // symmetric key
         assert_eq!(v1, v2);
-        assert_eq!(cache.misses(), misses_after_first, "second lookup must hit");
-        assert!(cache.hits() >= 1);
+        assert_eq!(
+            (m2.cache().hits(), m2.cache().misses()),
+            (1, 0),
+            "second lookup must hit"
+        );
     }
 
     #[test]
@@ -700,23 +680,31 @@ mod tests {
             .iter()
             .map(|k| sn.by_key(k).unwrap())
             .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                let keys = &keys;
-                scope.spawn(move || {
-                    let sim = CombinedSimilarity::with_cache(SimilarityWeights::equal(), cache);
-                    for &a in keys {
-                        for &b in keys {
-                            sim.similarity(sn, a, b);
+        let tallies: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let tally = TallyCache::new(Arc::clone(&cache));
+                    let keys = &keys;
+                    scope.spawn(move || {
+                        let sim = CombinedSimilarity::with_cache(SimilarityWeights::equal(), tally);
+                        for &a in keys {
+                            for &b in keys {
+                                sim.similarity(sn, a, b);
+                            }
                         }
-                    }
-                });
-            }
+                        (sim.cache().hits(), sim.cache().misses())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         // 4 distinct concepts -> 10 unordered pairs (incl. identity).
         assert_eq!(cache.len(), 10);
-        assert!(cache.hits() > 0);
+        let (hits, misses) = tallies
+            .iter()
+            .fold((0, 0), |(h, m), &(wh, wm)| (h + wh, m + wm));
+        assert_eq!(hits + misses, 4 * 16, "every lookup is counted once");
+        assert!(hits > 0);
     }
 
     #[test]
@@ -737,7 +725,7 @@ mod tests {
         let second = TallyCache::new(Arc::clone(&shared));
         assert_eq!(second.lookup(key), Some(0.5));
         assert_eq!((second.hits(), second.misses()), (1, 0));
-        assert_eq!((shared.hits(), shared.misses()), (2, 1));
+        assert_eq!((first.hits(), first.misses()), (1, 1), "views count apart");
         assert_eq!(second.len(), 1);
     }
 
@@ -746,18 +734,19 @@ mod tests {
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
         let key: VectorKey = (c, 2, semnet::graph::RelationFilter::All.fingerprint());
-        let cache = SharedCache::new();
-        assert!(cache.lookup_vector(key).is_none());
+        let cache = Arc::new(SharedCache::new());
+        let tally = TallyCache::new(Arc::clone(&cache));
+        assert!(tally.lookup_vector(key).is_none());
         let mut v = SparseVector::new();
         v.add("cast", 1.0);
         let v = Arc::new(v);
-        cache.store_vector(key, Arc::clone(&v));
-        let got = cache.lookup_vector(key).unwrap();
+        tally.store_vector(key, Arc::clone(&v));
+        let got = tally.lookup_vector(key).unwrap();
         assert!(Arc::ptr_eq(&got, &v), "hits must share the stored vector");
-        assert_eq!((cache.vector_hits(), cache.vector_misses()), (1, 1));
+        assert_eq!((tally.vector_hits(), tally.vector_misses()), (1, 1));
         assert_eq!(cache.vectors_len(), 1);
         // The pair tables are untouched by vector traffic.
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
+        assert_eq!((tally.hits(), tally.misses(), cache.len()), (0, 0, 0));
     }
 
     #[test]
@@ -774,7 +763,7 @@ mod tests {
         let second = TallyCache::new(Arc::clone(&shared));
         assert!(second.lookup_vector(key).is_some());
         assert_eq!((second.vector_hits(), second.vector_misses()), (1, 0));
-        assert_eq!((shared.vector_hits(), shared.vector_misses()), (2, 1));
+        assert_eq!((first.vector_hits(), first.vector_misses()), (1, 1));
         assert_eq!(second.vectors_len(), 1);
     }
 
@@ -942,6 +931,85 @@ mod tests {
         }
         assert_eq!(cache.lookup(hot), Some(42.0));
         assert!(cache.evictions() > 0);
+    }
+
+    #[test]
+    fn mini_wordnet_pair_keys_spread_over_every_shard() {
+        // The unseeded shard pick must not crowd real keys (small,
+        // consecutive concept ids under one weight fingerprint) into a
+        // few shards: each shard's budget slice assumes an even spread.
+        let sn = mini_wordnet();
+        let n = 91u32; // 91 · 92 / 2 = 4186 pairs
+        assert!(sn.len() >= n as usize);
+        let cache = SharedCache::new();
+        let mut per_shard = [0usize; SHARDS];
+        let mut keys = 0;
+        for a in 0..n {
+            for b in a..n {
+                let key = pair_key(semnet::ConceptId(a), semnet::ConceptId(b));
+                per_shard[cache.pairs.shard_index(&key)] += 1;
+                keys += 1;
+            }
+        }
+        assert!(keys >= 4096);
+        let share = keys / SHARDS;
+        assert!(
+            per_shard.iter().all(|&k| k > 0),
+            "empty shard: {per_shard:?}"
+        );
+        assert!(
+            per_shard.iter().all(|&k| k <= 2 * share),
+            "a shard holds over twice its share of {share}: {per_shard:?}"
+        );
+    }
+
+    /// Every pair key held by `cache`, in key order.
+    fn held_pairs(cache: &SharedCache) -> Vec<PairKey> {
+        let mut keys: Vec<PairKey> = (0..SHARDS)
+            .flat_map(|i| {
+                cache
+                    .pairs
+                    .read_shard(i)
+                    .map
+                    .keys()
+                    .copied()
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn eviction_is_the_same_under_any_map_seed() {
+        // Two caches whose shard maps iterate in different orders (the
+        // seeds of two processes) replay one single-threaded sequence.
+        // Between inserts, every held key is hit, so whole shards share
+        // one stamp and the key alone must pick the victims.
+        let budget = CacheBudget {
+            max_entries: 64, // 4 per shard
+            max_bytes: 0,
+        };
+        let caches = [
+            SharedCache::with_budget_and_hasher(budget, semsim::KeyHashBuilder::with_seed(1)),
+            SharedCache::with_budget_and_hasher(budget, semsim::KeyHashBuilder::with_seed(2)),
+        ];
+        let keys = distinct_keys(1024);
+        for cache in &caches {
+            for (i, chunk) in keys.chunks(8).enumerate() {
+                for (j, &key) in chunk.iter().enumerate() {
+                    cache.store(key, (8 * i + j) as f64);
+                }
+                for &key in &keys[(8 * i).saturating_sub(64)..8 * (i + 1)] {
+                    cache.lookup(key);
+                }
+            }
+        }
+        let [first, second] = &caches;
+        assert!(first.evictions() > 0);
+        assert_eq!(first.evictions(), second.evictions());
+        assert_eq!(held_pairs(first), held_pairs(second));
+        assert_eq!(held_pairs(first).len(), first.len());
     }
 
     #[test]

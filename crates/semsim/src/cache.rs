@@ -17,11 +17,22 @@
 //! explicitly advertises) would silently serve each other's scores.
 //! Concept context vectors depend on the sphere radius and relation filter,
 //! so [`VectorKey`] is `(concept, radius, filter fingerprint)`.
+//!
+//! ## Key hash
+//!
+//! Pair lookups are XSDF's inner loop, so every cache map hashes its keys
+//! with [`KeyHasher`]: one 64×64→128-bit folded multiply per key word
+//! (three per [`PairKey`] or [`VectorKey`]) instead of SipHash.
+//! [`KeyHashBuilder::default`] seeds it once per process, so a document
+//! cannot pick colliding keys offline; [`KeyHashBuilder::UNSEEDED`] hashes
+//! a key the same way in every process, for placement that must repeat
+//! across runs (the shard a shared cache files a key under).
 
 use semnet::ConceptId;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 use crate::vector::SparseVector;
 
@@ -45,6 +56,80 @@ pub type PairKey = (WeightsFingerprint, ConceptId, ConceptId);
 /// the immutable network), so cached vectors are shareable across workers
 /// and runs.
 pub type VectorKey = (ConceptId, u32, u64);
+
+/// An odd 64-bit constant (the golden-ratio fraction); every key word is
+/// multiplied by it.
+const KEY_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The cache key hash: each key word is xored into the state, multiplied
+/// by a fixed odd constant to 128 bits, and the two halves folded back
+/// together, so every input bit reaches the low and the high bits of the
+/// result. Built by a [`KeyHashBuilder`].
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHasher {
+    state: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.state ^ n) * u128::from(KEY_MULTIPLIER);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// Builds [`KeyHasher`]s from a seed. The default seed is drawn once per
+/// process from [`RandomState`]; [`KeyHashBuilder::UNSEEDED`] is the same
+/// in every process.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHashBuilder {
+    seed: u64,
+}
+
+impl KeyHashBuilder {
+    /// Seed 0: a key hashes to the same value in every process.
+    pub const UNSEEDED: Self = Self::with_seed(0);
+
+    /// A builder with an explicit seed.
+    pub const fn with_seed(seed: u64) -> Self {
+        Self { seed }
+    }
+}
+
+impl Default for KeyHashBuilder {
+    /// The process-wide random seed.
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        Self::with_seed(*SEED.get_or_init(|| RandomState::new().hash_one(KEY_MULTIPLIER)))
+    }
+}
+
+impl BuildHasher for KeyHashBuilder {
+    type Hasher = KeyHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher { state: self.seed }
+    }
+}
 
 /// A memo table for pairwise similarity scores, with an optional second
 /// table for concept context vectors.
@@ -89,11 +174,11 @@ pub trait SimilarityCache {
 }
 
 /// The default single-threaded cache: unsynchronized hash maps for pair
-/// scores and context vectors.
+/// scores and context vectors, keyed through the seeded [`KeyHasher`].
 #[derive(Debug, Clone, Default)]
 pub struct LocalCache {
-    map: RefCell<HashMap<PairKey, f64>>,
-    vectors: RefCell<HashMap<VectorKey, Arc<SparseVector>>>,
+    map: RefCell<HashMap<PairKey, f64, KeyHashBuilder>>,
+    vectors: RefCell<HashMap<VectorKey, Arc<SparseVector>, KeyHashBuilder>>,
 }
 
 impl LocalCache {

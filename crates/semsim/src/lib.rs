@@ -30,7 +30,9 @@ pub mod gloss;
 pub mod node;
 pub mod vector;
 
-pub use cache::{LocalCache, PairKey, SimilarityCache, VectorKey, WeightsFingerprint};
+pub use cache::{
+    KeyHashBuilder, KeyHasher, LocalCache, PairKey, SimilarityCache, VectorKey, WeightsFingerprint,
+};
 pub use combined::{CombinedSimilarity, SimilarityWeights};
 pub use edge::wu_palmer;
 pub use gloss::extended_gloss_overlap;

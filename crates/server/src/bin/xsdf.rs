@@ -206,10 +206,12 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Wraps `args`, rejecting any `--flag` no subcommand reads, so a typo
-    /// or a retired option is a usage error instead of a silent no-op, and
-    /// a valued flag without its value, so `--metrics --quiet` cannot
-    /// write the metrics to a file named `--quiet`.
+    /// or a retired option is a usage error instead of a silent no-op; a
+    /// valued flag without its value, so `--metrics --quiet` cannot
+    /// write the metrics to a file named `--quiet`; and a flag given
+    /// twice, since only its first value would be read.
     fn new(args: &'a [String]) -> Result<Self, String> {
+        let mut seen = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let a = args[i].as_str();
@@ -222,6 +224,10 @@ impl<'a> Flags<'a> {
                 } else if !SWITCHES.contains(&a) {
                     return Err(format!("unknown flag {a:?} (see `xsdf help`)"));
                 }
+                if seen.contains(&a) {
+                    return Err(format!("{a} given twice"));
+                }
+                seen.push(a);
             }
             i += 1;
         }

@@ -634,6 +634,44 @@ fn valued_flags_without_a_value_are_usage_errors() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A flag given twice is a usage error: only the first value used to be
+/// read, so `--radius 1 --radius 9` ran at radius 1 and a second
+/// `--metrics` file was never written.
+#[test]
+fn repeated_flags_are_usage_errors() {
+    let doc = write_temp("repeated-flag.xml", "<cast><star>Kelly</star></cast>");
+    let dir = std::env::temp_dir().join(format!("xsdf-cli-repeated-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (command, args) in [
+        ("disambiguate", &["--radius", "1", "--radius", "9"][..]),
+        ("batch", &["--metrics", "m1.json", "--metrics", "m2.json"]),
+    ] {
+        let flag = args[0];
+        let output = xsdf()
+            .current_dir(&dir)
+            .arg(command)
+            .arg(&doc)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{command} {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("error: {flag} given twice")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} must not run the command"
+        );
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "no metrics file may be written"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn missing_file_is_a_clean_error() {
     let output = xsdf()

@@ -14,7 +14,7 @@
 //! the averaged pair similarity of Equation 10.
 
 use std::borrow::Cow;
-use std::cell::{RefCell, RefMut};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 
 use semnet::{ConceptId, SemanticNetwork};
@@ -29,12 +29,18 @@ use xmltree::distance::DistancePolicy;
 /// One document's memo of context-entry evidence ([`entry_evidence`]).
 /// Evidence depends only on the target candidate (or candidate pair) and
 /// the context label, so the memo keeps one row per candidate with one
-/// slot per distinct label of the document's [`LabelTable`], filled on
-/// first use. It lives for one `disambiguate_selected_guarded` call, so
-/// it holds at most that document's (candidate × distinct label) values
-/// and never outlives the similarity measure it was filled with.
+/// slot per context label, filled on first use. Only labels with senses
+/// become context entries, so only they get a slot: a document's unknown
+/// tags, however many, widen no row. The memo lives for one
+/// `disambiguate_selected_guarded` call, so it holds at most that
+/// document's (candidate × scorable label) values and never outlives the
+/// similarity measure it was filled with.
 pub(crate) struct EvidenceMemo {
-    labels: usize,
+    /// The slot of each [`LabelId`] that has entered a context, dense
+    /// over those labels in order of first appearance.
+    slots: RefCell<Vec<Option<u32>>>,
+    /// Slots assigned so far.
+    assigned: Cell<u32>,
     rows: RefCell<HashMap<SenseChoice, Vec<Option<f64>>>>,
 }
 
@@ -42,17 +48,41 @@ impl EvidenceMemo {
     /// An empty memo for a document with `labels` distinct labels.
     pub(crate) fn new(labels: usize) -> Self {
         Self {
-            labels,
+            slots: RefCell::new(vec![None; labels]),
+            assigned: Cell::new(0),
             rows: RefCell::default(),
         }
     }
 
-    /// The evidence row of `target`, indexed by [`LabelId::index`].
+    /// The slot of `label`, a context label with senses, assigned on
+    /// first use.
+    fn slot(&self, label: LabelId) -> usize {
+        let mut slots = self.slots.borrow_mut();
+        let slot = slots[label.index()].get_or_insert_with(|| {
+            let next = self.assigned.get();
+            self.assigned.set(next + 1);
+            next
+        });
+        *slot as usize
+    }
+
+    /// The evidence row of `target`, indexed by [`EvidenceMemo::slot`]
+    /// and long enough for every slot assigned so far.
     fn row(&self, target: SenseChoice) -> RefMut<'_, Vec<Option<f64>>> {
-        let labels = self.labels;
+        let assigned = self.assigned.get() as usize;
         RefMut::map(self.rows.borrow_mut(), |rows| {
-            rows.entry(target).or_insert_with(|| vec![None; labels])
+            let row = rows.entry(target).or_default();
+            if row.len() < assigned {
+                row.resize(assigned, None);
+            }
+            row
         })
+    }
+
+    /// Slots allocated over all rows.
+    #[cfg(test)]
+    fn slot_count(&self) -> usize {
+        self.rows.borrow().values().map(Vec::len).sum()
     }
 }
 
@@ -82,9 +112,9 @@ struct ContextEntry<'t> {
     /// lists, averaged when scoring (Equation 10's note on compound
     /// context labels).
     senses: Cow<'t, SenseCandidates>,
-    /// The node's label id in the document's [`LabelTable`] (its memo
-    /// slot), for contexts built by [`ConceptContext::build_in`].
-    label: Option<LabelId>,
+    /// The [`EvidenceMemo::slot`] of the node's label, for contexts
+    /// built by [`ConceptContext::build_in`].
+    slot: Option<usize>,
 }
 
 /// `Max_j Sim(s_p, s_j^i)` of Definition 8: the best similarity between
@@ -186,7 +216,7 @@ impl<'t> ConceptContext<'t> {
                 entries.push(ContextEntry {
                     weight: vector.get(tree.label(node)),
                     senses,
-                    label,
+                    slot: memo.zip(label).map(|(memo, label)| memo.slot(label)),
                 });
             }
         }
@@ -256,9 +286,10 @@ impl<'t> ConceptContext<'t> {
         let mut memo_row = self.memo.map(|memo| memo.row(target));
         let mut total = 0.0f64;
         for (i, e) in self.entries.iter().enumerate() {
-            let evidence = match (memo_row.as_deref_mut(), e.label) {
-                (Some(row), Some(label)) => *row[label.index()]
-                    .get_or_insert_with(|| entry_evidence(sn, sim, &e.senses, target)),
+            let evidence = match (memo_row.as_deref_mut(), e.slot) {
+                (Some(row), Some(slot)) => {
+                    *row[slot].get_or_insert_with(|| entry_evidence(sn, sim, &e.senses, target))
+                }
                 _ => entry_evidence(sn, sim, &e.senses, target),
             };
             total += evidence * e.weight;
@@ -561,6 +592,55 @@ mod tests {
             }
         }
         assert!(pairs > 0, "the compound target must be scored");
+    }
+
+    #[test]
+    fn unknown_tags_add_no_memo_slots() {
+        // A document of known words, then the same document with 2,000
+        // distinct unknown sibling tags: the unknown tags are labels of
+        // the document but never context entries, so the memo's rows must
+        // not grow with them.
+        let sn = mini_wordnet();
+        let sim = CombinedSimilarity::default();
+        let unknown_tag = |i: usize| {
+            let letters: String = [i / 676, i / 26 % 26, i % 26]
+                .iter()
+                .map(|&d| char::from(b'a' + d as u8))
+                .collect();
+            format!("<qz{letters}/>")
+        };
+        let memo_of = |unknown: usize| {
+            let tags: String = (0..unknown).map(unknown_tag).collect();
+            let t = tree(&format!(
+                "<films><picture><cast><star>Stewart</star><star>Kelly</star></cast>{tags}<plot/></picture></films>"
+            ));
+            let labels = LabelTable::new(sn, &t);
+            let memo = EvidenceMemo::new(labels.len());
+            let mut unknown_labels = 0;
+            for node in t.preorder() {
+                let candidates = labels.candidates(node);
+                if *candidates == SenseCandidates::Unknown {
+                    unknown_labels += usize::from(t.label(node).starts_with("qz"));
+                    continue;
+                }
+                let ctx = ConceptContext::build_in(
+                    &labels,
+                    &memo,
+                    &t,
+                    node,
+                    2,
+                    DistancePolicy::EdgeCount,
+                );
+                for (target, _) in candidates.choices() {
+                    ctx.score(sn, &sim, target, None);
+                }
+            }
+            (unknown_labels, memo.slot_count())
+        };
+        let (none, slots) = memo_of(0);
+        assert_eq!(none, 0);
+        assert!(slots > 0, "the known words must fill the memo");
+        assert_eq!(memo_of(2000), (2000, slots));
     }
 
     #[test]
