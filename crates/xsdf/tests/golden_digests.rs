@@ -13,7 +13,7 @@
 //! ```
 
 use semnet::mini_wordnet;
-use xsdf::{DisambiguationProcess, Xsdf, XsdfConfig};
+use xsdf::{DisambiguationProcess, DistancePolicy, VectorSimilarity, Xsdf, XsdfConfig};
 
 /// Seed of the `corpus::stream` documents.
 const SEED: u64 = 7;
@@ -38,7 +38,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// process a second time as `concept-exact`. Those rows were digested
 /// when the scoring loop's exact early exit was opt-in; it now always
 /// runs, and the rows still pin that it leaves the output unchanged.
+/// The rows after it pin the footnote-10 vector measures, the combined
+/// process at the other radii, and the concept process under the two
+/// weighted distance policies `exp_distance` runs.
 fn configurations() -> Vec<(&'static str, XsdfConfig)> {
+    let combined = DisambiguationProcess::Combined {
+        concept: 0.5,
+        context: 0.5,
+    };
     vec![
         ("concept", XsdfConfig::default()),
         (
@@ -51,14 +58,57 @@ fn configurations() -> Vec<(&'static str, XsdfConfig)> {
         (
             "combined",
             XsdfConfig {
-                process: DisambiguationProcess::Combined {
-                    concept: 0.5,
-                    context: 0.5,
-                },
+                process: combined,
                 ..XsdfConfig::default()
             },
         ),
         ("concept-exact", XsdfConfig::default()),
+        (
+            "context-jaccard",
+            XsdfConfig {
+                process: DisambiguationProcess::ContextBased,
+                vector_similarity: VectorSimilarity::Jaccard,
+                ..XsdfConfig::default()
+            },
+        ),
+        (
+            "context-pearson",
+            XsdfConfig {
+                process: DisambiguationProcess::ContextBased,
+                vector_similarity: VectorSimilarity::Pearson,
+                ..XsdfConfig::default()
+            },
+        ),
+        (
+            "combined-r1",
+            XsdfConfig {
+                process: combined,
+                radius: 1,
+                ..XsdfConfig::default()
+            },
+        ),
+        (
+            "combined-r3",
+            XsdfConfig {
+                process: combined,
+                radius: 3,
+                ..XsdfConfig::default()
+            },
+        ),
+        (
+            "concept-directional",
+            XsdfConfig {
+                distance: DistancePolicy::Directional { up: 0.5, down: 1.0 },
+                ..XsdfConfig::default()
+            },
+        ),
+        (
+            "concept-density",
+            XsdfConfig {
+                distance: DistancePolicy::DensityScaled { alpha: 1.0 },
+                ..XsdfConfig::default()
+            },
+        ),
     ]
 }
 
