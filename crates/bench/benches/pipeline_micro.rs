@@ -73,7 +73,7 @@ fn sphere_and_vectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("context");
     for radius in [1u32, 2, 3] {
         group.bench_function(format!("xml_vector_r{radius}"), |b| {
-            b.iter(|| black_box(xsdf::sphere::xml_context_vector(&tree, center, radius)))
+            b.iter(|| black_box(xsdf::sphere::xml_context_vector(sn, &tree, center, radius)))
         });
     }
     let concept = sn.by_key("cast.actors").unwrap();

@@ -35,7 +35,7 @@ fn assert_full_agreement(xml: &str, cfg: XsdfConfig, ctx: &str) {
             "{ctx}: degree of {:?}: {opt} vs {reference}",
             tree.label(node)
         );
-        let ov = xml_context_vector(&tree, node, cfg.radius);
+        let ov = xml_context_vector(sn, &tree, node, cfg.radius);
         let rv = ref_sph::xml_context_vector(&tree, node, cfg.radius);
         assert_eq!(ov.len(), rv.len(), "{ctx}: vector support of {node:?}");
         for (label, weight) in ov.iter() {
@@ -83,7 +83,7 @@ fn single_node_tree_agrees_through_both_implementations() {
         assert!(xml_sphere(&tree, root, radius).is_empty());
         assert!(ref_sph::xml_sphere(&tree, root, radius).is_empty());
         // |S| = 1 ⇒ scale = 2/(1+1) = 1, center at Struct(0) = 1.
-        let v = xml_context_vector(&tree, root, radius);
+        let v = xml_context_vector(sn, &tree, root, radius);
         assert_eq!(v.len(), 1);
         assert_eq!(v.get("star"), 1.0);
     }

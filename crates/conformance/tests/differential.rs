@@ -24,7 +24,7 @@ use conformance::harness::{cases, nucleus};
 use conformance::reference::{ambiguity as ref_amb, preprocess as ref_pre};
 use conformance::reference::{scoring as ref_score, similarity as ref_sim, sphere as ref_sph};
 use semnet::{ConceptId, SemanticNetwork};
-use semsim::{CombinedSimilarity, SimilarityWeights, SparseVector};
+use semsim::{CombinedSimilarity, SimilarityWeights};
 use xmltree::tree::ValueTokenizer;
 use xmltree::{DocNode, XmlTree};
 use xsdf::ambiguity::select_targets;
@@ -35,7 +35,7 @@ use xsdf::guard::Guard;
 use xsdf::senses::{
     candidates_for_label, disambiguation_candidates, LingTokenizer, SenseCandidates,
 };
-use xsdf::sphere::xml_context_vector;
+use xsdf::sphere::{xml_context_vector, LabelledVector};
 use xsdf::Xsdf;
 
 const TOL: f64 = 1e-12;
@@ -45,7 +45,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// Compares an optimized sparse vector against a reference vector.
-fn assert_vectors_match(opt: &SparseVector, reference: &ref_sph::RefVector, ctx: &str) {
+fn assert_vectors_match(opt: &LabelledVector, reference: &ref_sph::RefVector, ctx: &str) {
     assert_eq!(opt.len(), reference.len(), "{ctx}: dimension count");
     for (label, w) in opt.iter() {
         let r = reference.get(label).copied().unwrap_or(f64::NAN);
@@ -206,10 +206,10 @@ fn xml_context_vectors_and_measures_agree_across_sweep() {
         let ctx = case.context();
         let xsdf = Xsdf::new(sn, case.config());
         let tree = xsdf.build_tree(&case.doc);
-        let root_opt = xml_context_vector(&tree, tree.root(), case.radius);
+        let root_opt = xml_context_vector(sn, &tree, tree.root(), case.radius);
         let ref_root = ref_sph::xml_context_vector(&tree, tree.root(), case.radius);
         for node in tree.preorder() {
-            let opt = xml_context_vector(&tree, node, case.radius);
+            let opt = xml_context_vector(sn, &tree, node, case.radius);
             let reference = ref_sph::xml_context_vector(&tree, node, case.radius);
             assert_vectors_match(&opt, &reference, &format!("{ctx}: vector of {node:?}"));
 
@@ -220,7 +220,7 @@ fn xml_context_vectors_and_measures_agree_across_sweep() {
                 VectorSimilarity::Jaccard,
                 VectorSimilarity::Pearson,
             ] {
-                let o = measure.apply(&opt, &root_opt);
+                let o = measure.apply(opt.vector(), root_opt.vector());
                 let r = ref_sim::apply_measure(measure, &ref_node, &ref_root);
                 assert!(
                     close(o, r),
@@ -361,7 +361,7 @@ fn full_scoring_and_choices_agree_on_nucleus() {
             // Constituent scores, candidate by candidate.
             let opt_sim = CombinedSimilarity::new(cfg.similarity);
             let concept_ctx = ConceptContext::build(sn, &tree, target, cfg.radius);
-            let scorer = ContextVectorScorer::build(&tree, target, cfg.radius)
+            let scorer = ContextVectorScorer::build(sn, &tree, target, cfg.radius)
                 .with_measure(cfg.vector_similarity);
             let label = tree.label(target);
             if let SenseCandidates::Single(senses) =

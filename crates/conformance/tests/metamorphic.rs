@@ -224,8 +224,8 @@ fn injective_relabeling_preserves_structural_quantities() {
             let a = xml_sphere(&tree, node, case.radius);
             let b = xml_sphere(&renamed, node, case.radius);
             assert_eq!(a, b, "{ctx}: sphere of {node:?}");
-            let va = xml_context_vector(&tree, node, case.radius);
-            let vb = xml_context_vector(&renamed, node, case.radius);
+            let va = xml_context_vector(sn, &tree, node, case.radius);
+            let vb = xml_context_vector(sn, &renamed, node, case.radius);
             assert_eq!(va.len(), vb.len(), "{ctx}: vector support of {node:?}");
             for (label, w) in va.iter() {
                 let r = vb.get(&rename(label));
@@ -291,16 +291,16 @@ fn vector_measures_are_symmetric_and_bounded() {
         let ctx = case.context();
         let xsdf = Xsdf::new(sn, case.config());
         let tree = xsdf.build_tree(&case.doc);
-        let root = xml_context_vector(&tree, tree.root(), case.radius);
+        let root = xml_context_vector(sn, &tree, tree.root(), case.radius);
         for node in tree.preorder() {
-            let v = xml_context_vector(&tree, node, case.radius);
+            let v = xml_context_vector(sn, &tree, node, case.radius);
             for measure in [
                 VectorSimilarity::Cosine,
                 VectorSimilarity::Jaccard,
                 VectorSimilarity::Pearson,
             ] {
-                let ab = measure.apply(&v, &root);
-                let ba = measure.apply(&root, &v);
+                let ab = measure.apply(v.vector(), root.vector());
+                let ba = measure.apply(root.vector(), v.vector());
                 // Jaccard accumulates the union in argument order, so
                 // symmetry holds to the ulp, not bitwise.
                 assert!(

@@ -65,8 +65,8 @@ fn exhaustive_choice(xsdf: &Xsdf, tree: &XmlTree, target: NodeId) -> Option<(Sen
     let (w_concept, w_context) = cfg.process.weights();
     let sim = CombinedSimilarity::new(cfg.similarity);
     let ctx = ConceptContext::build(sn, tree, target, cfg.radius);
-    let scorer =
-        ContextVectorScorer::build(tree, target, cfg.radius).with_measure(cfg.vector_similarity);
+    let scorer = ContextVectorScorer::build(sn, tree, target, cfg.radius)
+        .with_measure(cfg.vector_similarity);
     let candidates = disambiguation_candidates(sn, tree.label(target), tree.node(target).kind);
     let mut best: Option<(SenseChoice, f64)> = None;
     for (choice, _) in candidates.choices() {

@@ -9,7 +9,8 @@
 //! *both* tables — pair scores and context vectors — over independent
 //! [`RwLock`]-protected maps: readers on different shards (and even on the
 //! same shard) never serialize, and writers only lock 1/16th of a table.
-//! Stored `Arc<SparseVector>` values make vector hits clone-free.
+//! Stored `Arc<SparseVector>` values make vector hits clone-free: a hit
+//! hands out the cached id run itself, norm included.
 //!
 //! # Read path
 //!
@@ -737,9 +738,7 @@ mod tests {
         let cache = Arc::new(SharedCache::new());
         let tally = TallyCache::new(Arc::clone(&cache));
         assert!(tally.lookup_vector(key).is_none());
-        let mut v = SparseVector::new();
-        v.add("cast", 1.0);
-        let v = Arc::new(v);
+        let v = Arc::new(SparseVector::from_ids([(0, 1.0)]));
         tally.store_vector(key, Arc::clone(&v));
         let got = tally.lookup_vector(key).unwrap();
         assert!(Arc::ptr_eq(&got, &v), "hits must share the stored vector");
@@ -888,10 +887,7 @@ mod tests {
         let filter = semnet::graph::RelationFilter::All.fingerprint();
         for (i, key) in distinct_keys(40).into_iter().enumerate() {
             cache.store(key, i as f64);
-            let mut v = SparseVector::new();
-            for d in 0..8 {
-                v.add(format!("dim-{i}-{d}"), 1.0);
-            }
+            let v = SparseVector::from_ids((0..8).map(|d| (d, 1.0)));
             cache.store_vector((key.1, i as u32, filter), Arc::new(v));
             assert!(
                 cache.bytes() <= budget.max_bytes as u64,
@@ -1020,10 +1016,7 @@ mod tests {
         });
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
-        let mut big = SparseVector::new();
-        for d in 0..64 {
-            big.add(format!("dimension-{d}"), 1.0);
-        }
+        let big = SparseVector::from_ids((0..64).map(|d| (d, 1.0)));
         let key: VectorKey = (c, 2, semnet::graph::RelationFilter::All.fingerprint());
         let before = cache.evictions();
         cache.store_vector(key, Arc::new(big));
@@ -1039,8 +1032,7 @@ mod tests {
         let filter = semnet::graph::RelationFilter::All.fingerprint();
         for (i, key) in distinct_keys(32).into_iter().enumerate() {
             cache.store(key, i as f64);
-            let mut v = SparseVector::new();
-            v.add(format!("dim-{i}"), 1.0);
+            let v = SparseVector::from_ids([(i as u64, 1.0)]);
             cache.store_vector((key.1, i as u32, filter), Arc::new(v));
         }
         let before_bytes = cache.bytes();

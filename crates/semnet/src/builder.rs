@@ -252,6 +252,7 @@ impl NetworkBuilder {
             total_freq,
             max_polysemy,
             artifacts: std::sync::OnceLock::new(),
+            lemmas: std::sync::OnceLock::new(),
         })
     }
 }

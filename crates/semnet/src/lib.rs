@@ -28,6 +28,7 @@ pub mod builder;
 pub mod builtin;
 pub mod format;
 pub mod graph;
+pub mod lemmas;
 pub mod model;
 pub mod network;
 pub mod snapshot;
@@ -36,6 +37,7 @@ pub mod wndb;
 pub use artifacts::GlossArtifacts;
 pub use builder::NetworkBuilder;
 pub use builtin::mini_wordnet;
+pub use lemmas::LemmaTable;
 pub use model::{Concept, ConceptId, PartOfSpeech, RelationKind};
 pub use network::SemanticNetwork;
 pub use snapshot::SnapshotError;

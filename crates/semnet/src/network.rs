@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::artifacts::GlossArtifacts;
+use crate::lemmas::LemmaTable;
 use crate::model::{Concept, ConceptId, Edge, RelationKind};
 
 /// A semantic network `SN = (C, L, G, E, R, f, g)` (Definition 2), with
@@ -36,6 +37,9 @@ pub struct SemanticNetwork {
     /// per network; a pure function of `concepts` + `adjacency`, so clones
     /// carrying an already-built table stay consistent.
     pub(crate) artifacts: OnceLock<GlossArtifacts>,
+    /// Lazily-built lemma table (context-vector dimensions), a pure
+    /// function of `concepts`; never stored in snapshots.
+    pub(crate) lemmas: OnceLock<LemmaTable>,
 }
 
 impl SemanticNetwork {
@@ -195,6 +199,12 @@ impl SemanticNetwork {
     /// workers — `OnceLock` serializes the single build).
     pub fn gloss_artifacts(&self) -> &GlossArtifacts {
         self.artifacts.get_or_init(|| GlossArtifacts::build(self))
+    }
+
+    /// The lemma table (every distinct lemma with an id in string order),
+    /// built on first use and shared by every subsequent caller.
+    pub fn lemma_table(&self) -> &LemmaTable {
+        self.lemmas.get_or_init(|| LemmaTable::build(self))
     }
 }
 

@@ -763,6 +763,7 @@ pub fn decode(bytes: &[u8]) -> Result<SemanticNetwork, SnapshotError> {
         total_freq,
         max_polysemy,
         artifacts,
+        lemmas: OnceLock::new(),
     })
 }
 

@@ -319,11 +319,9 @@ mod tests {
         let k: VectorKey = (c, 2, 0xabcd);
         assert!(cache.lookup_vector(k).is_none());
         assert_eq!(cache.vectors_len(), 0);
-        let mut v = SparseVector::new();
-        v.add("cast".to_string(), 1.0);
-        cache.store_vector(k, Arc::new(v));
+        cache.store_vector(k, Arc::new(SparseVector::from_ids([(7, 1.0)])));
         let got = cache.lookup_vector(k).expect("stored vector");
-        assert_eq!(got.get("cast"), 1.0);
+        assert_eq!(got.get(7), 1.0);
         assert_eq!(cache.vectors_len(), 1);
         // Different radius / filter fingerprint are different entries.
         assert!(cache.lookup_vector((c, 3, 0xabcd)).is_none());

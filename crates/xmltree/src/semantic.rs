@@ -16,8 +16,6 @@ use crate::tree::{NodeId, NodeKind, XmlTree};
 pub struct SenseAnnotation {
     /// Stable textual identifier of the concept in the semantic network.
     pub concept: String,
-    /// Human-readable gloss of the chosen concept, if available.
-    pub gloss: Option<String>,
     /// The disambiguation score that selected this sense, in `\[0, 1\]`.
     pub score: f64,
 }
@@ -165,7 +163,6 @@ mod tests {
             kelly,
             SenseAnnotation {
                 concept: "kelly.grace".into(),
-                gloss: Some("Princess of Monaco".into()),
                 score: 0.9,
             },
         );
@@ -195,7 +192,6 @@ mod tests {
             cast,
             SenseAnnotation {
                 concept: "cast.actors".into(),
-                gloss: None,
                 score: 0.8,
             },
         );
@@ -203,7 +199,6 @@ mod tests {
             kelly,
             SenseAnnotation {
                 concept: "kelly.grace".into(),
-                gloss: None,
                 score: 0.7,
             },
         );
@@ -222,7 +217,6 @@ mod tests {
             tok,
             SenseAnnotation {
                 concept: "a<&\">b".into(),
-                gloss: None,
                 score: 1.0,
             },
         );
@@ -240,7 +234,6 @@ mod tests {
             ids[2],
             SenseAnnotation {
                 concept: "c2".into(),
-                gloss: None,
                 score: 0.1,
             },
         );
@@ -248,7 +241,6 @@ mod tests {
             ids[0],
             SenseAnnotation {
                 concept: "c0".into(),
-                gloss: None,
                 score: 0.1,
             },
         );

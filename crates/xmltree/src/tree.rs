@@ -16,6 +16,7 @@
 //!   the `x.f̄` of Proposition 3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::document::{DocNodeId, Document};
 
@@ -158,6 +159,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
     /// Returns `None` when the document has no root element.
     pub fn build(&self, doc: &Document) -> Option<BuildResult> {
         let root = doc.root_element()?;
+        let mut nodes = Vec::new();
         let mut out = BuildResult {
             tree: XmlTree::unfinished(Vec::new()),
             element_nodes: HashMap::new(),
@@ -165,21 +167,21 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
             token_nodes: HashMap::new(),
             attr_token_nodes: HashMap::new(),
         };
-        self.build_element(doc, root, None, 0, &mut out);
-        out.tree.finish();
+        self.build_element(doc, root, None, 0, &mut nodes, &mut out);
+        out.tree = XmlTree::from_nodes(nodes);
         Some(out)
     }
 
     fn push_node(
-        out: &mut BuildResult,
+        nodes: &mut Vec<TreeNode>,
         label: String,
         original: String,
         kind: NodeKind,
         depth: u32,
         parent: Option<NodeId>,
     ) -> NodeId {
-        let id = NodeId(out.tree.nodes.len() as u32);
-        out.tree.nodes.push(TreeNode {
+        let id = NodeId(nodes.len() as u32);
+        nodes.push(TreeNode {
             label,
             original,
             kind,
@@ -188,7 +190,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
             children: Vec::new(),
         });
         if let Some(p) = parent {
-            out.tree.nodes[p.index()].children.push(id);
+            nodes[p.index()].children.push(id);
         }
         id
     }
@@ -199,12 +201,13 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
         elem: DocNodeId,
         parent: Option<NodeId>,
         depth: u32,
+        nodes: &mut Vec<TreeNode>,
         out: &mut BuildResult,
     ) -> NodeId {
         let name = doc.name(elem).expect("element node");
         let label = self.tokenizer.normalize_label(name);
         let node = Self::push_node(
-            out,
+            nodes,
             label,
             name.to_string(),
             NodeKind::Element,
@@ -224,7 +227,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
             let attr = &doc.attributes(elem)[idx];
             let attr_label = self.tokenizer.normalize_label(&attr.name);
             let attr_node = Self::push_node(
-                out,
+                nodes,
                 attr_label,
                 attr.name.clone(),
                 NodeKind::Attribute,
@@ -237,7 +240,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
                 let mut ids = Vec::with_capacity(tokens.len());
                 for tok in tokens {
                     ids.push(Self::push_node(
-                        out,
+                        nodes,
                         tok.clone(),
                         tok,
                         NodeKind::ValueToken,
@@ -253,7 +256,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
         for &child in doc.children(elem) {
             match doc.node(child) {
                 crate::document::DocNode::Element { .. } => {
-                    self.build_element(doc, child, Some(node), depth + 1, out);
+                    self.build_element(doc, child, Some(node), depth + 1, nodes, out);
                 }
                 crate::document::DocNode::Text(t) | crate::document::DocNode::CData(t)
                     if self.mode == ContentMode::StructureAndContent =>
@@ -262,7 +265,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
                     let mut ids = Vec::with_capacity(tokens.len());
                     for tok in tokens {
                         ids.push(Self::push_node(
-                            out,
+                            nodes,
                             tok.clone(),
                             tok,
                             NodeKind::ValueToken,
@@ -285,9 +288,12 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
 /// with hyperlink edges (ID/IDREF — see [`crate::links`]) that sphere
 /// traversals may cross. Links never change the tree structure (depth,
 /// fan-out, density, preorder); they only add adjacency.
+///
+/// The nodes sit behind an [`Arc`] and never change once built, so a clone
+/// (the semantic tree's copy of its input, say) shares them.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
-    nodes: Vec<TreeNode>,
+    nodes: Arc<[TreeNode]>,
     /// Symmetric hyperlink adjacency, sparse (empty for most documents).
     links: Vec<(NodeId, NodeId)>,
     /// `Max(depth(T))` of Proposition 2, set by [`XmlTree::finish`].
@@ -311,7 +317,7 @@ impl XmlTree {
     /// [`XmlTree::finish`] must run before it is handed out.
     fn unfinished(nodes: Vec<TreeNode>) -> Self {
         Self {
-            nodes,
+            nodes: nodes.into(),
             links: Vec::new(),
             max_depth: 0,
             max_fan_out: 0,
@@ -327,7 +333,7 @@ impl XmlTree {
     /// them. A relabeling that merges labels changes node densities, so
     /// the cached maxima are recomputed.
     pub fn relabeled(&self, f: impl Fn(&str) -> String) -> Self {
-        let mut nodes = self.nodes.clone();
+        let mut nodes = self.nodes.to_vec();
         for n in &mut nodes {
             n.label = f(&n.label);
         }

@@ -18,13 +18,13 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 
 use semnet::{ConceptId, SemanticNetwork};
-use semsim::{CombinedSimilarity, SimilarityCache, SparseVector};
+use semsim::{CombinedSimilarity, SimilarityCache};
+use xmltree::distance::DistancePolicy;
 use xmltree::{NodeId, XmlTree};
 
 use crate::pipeline::SenseChoice;
-use crate::senses::{disambiguation_candidates, LabelId, LabelTable, SenseCandidates};
-use crate::sphere::{assemble_xml_context_vector, xml_context_vector, xml_sphere_factors};
-use xmltree::distance::DistancePolicy;
+use crate::senses::{LabelId, LabelTable, SenseCandidates};
+use crate::sphere::SphereScratch;
 
 /// One document's memo of context-entry evidence ([`entry_evidence`]).
 /// Evidence depends only on the target candidate (or candidate pair) and
@@ -164,26 +164,26 @@ impl ConceptContext<'static> {
         radius: u32,
         policy: DistancePolicy,
     ) -> Self {
-        ConceptContext::assemble(tree, target, radius, policy, None, |node| {
-            let senses = disambiguation_candidates(sn, tree.label(node), tree.node(node).kind);
-            (Cow::Owned(senses), None)
+        let labels = LabelTable::new(sn, tree);
+        let mut sphere = SphereScratch::new(&labels);
+        sphere.assemble(&labels, tree, target, radius, policy);
+        ConceptContext::assemble(&labels, &sphere, None, |node| {
+            (Cow::Owned(labels.candidates(node).clone()), None)
         })
     }
 }
 
 impl<'t> ConceptContext<'t> {
-    /// [`ConceptContext::build_with_policy`] within one document's scope:
-    /// sense lists are lent by `labels` instead of resolved per sphere
-    /// node, and entry evidence is memoized in `memo`.
+    /// [`ConceptContext::build_with_policy`] within one document's scope,
+    /// over the target's already assembled `sphere`: sense lists are lent
+    /// by `labels` instead of resolved per sphere node, and entry evidence
+    /// is memoized in `memo`.
     pub(crate) fn build_in(
         labels: &'t LabelTable<'t>,
         memo: &'t EvidenceMemo,
-        tree: &XmlTree,
-        target: NodeId,
-        radius: u32,
-        policy: DistancePolicy,
+        sphere: &SphereScratch,
     ) -> Self {
-        Self::assemble(tree, target, radius, policy, Some(memo), |node| {
+        Self::assemble(labels, sphere, Some(memo), |node| {
             (
                 Cow::Borrowed(labels.candidates(node)),
                 Some(labels.label_id(node)),
@@ -191,30 +191,26 @@ impl<'t> ConceptContext<'t> {
         })
     }
 
+    /// One entry per context node of `sphere` whose label has senses,
+    /// weighted by its label's slot of the assembled `V_d(x)`.
     fn assemble(
-        tree: &XmlTree,
-        target: NodeId,
-        radius: u32,
-        policy: DistancePolicy,
+        labels: &LabelTable,
+        sphere: &SphereScratch,
         memo: Option<&'t EvidenceMemo>,
         mut resolve: impl FnMut(NodeId) -> (Cow<'t, SenseCandidates>, Option<LabelId>),
     ) -> Self {
-        // One sphere walk yields both the context nodes and the Definition
-        // 6–7 vector that weights them.
-        let sphere = xml_sphere_factors(tree, target, radius, policy);
-        let vector = assemble_xml_context_vector(tree, target, radius, &sphere);
         // |S_d(x)| of Definition 8 counts the center (Definition 5's ring
         // R_0 = {x}) plus all context nodes — the same convention the
         // context vectors pin with Figure 7's V_1. Counting only the
         // context nodes here (the pre-PR 5 behavior) inflated every score
         // by (n+1)/n relative to the definitions.
-        let cardinality = sphere.len() + 1;
-        let mut entries = Vec::with_capacity(sphere.len());
-        for (node, _) in sphere {
+        let cardinality = sphere.sphere().len() + 1;
+        let mut entries = Vec::with_capacity(sphere.sphere().len());
+        for &(node, _) in sphere.sphere() {
             let (senses, label) = resolve(node);
             if *senses != SenseCandidates::Unknown {
                 entries.push(ContextEntry {
-                    weight: vector.get(tree.label(node)),
+                    weight: sphere.weight(labels.dimension(node)),
                     senses,
                     slot: memo.zip(label).map(|(memo, label)| memo.slot(label)),
                 });
@@ -225,11 +221,6 @@ impl<'t> ConceptContext<'t> {
             cardinality,
             memo,
         }
-    }
-
-    /// The context vector used for weighting (exposed for diagnostics).
-    pub fn vector(tree: &XmlTree, target: NodeId, radius: u32) -> SparseVector {
-        xml_context_vector(tree, target, radius)
     }
 
     /// Number of context nodes that contributed sense entries.
@@ -322,7 +313,8 @@ impl<'t> ConceptContext<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::senses::LingTokenizer;
+    use crate::senses::{disambiguation_candidates, LingTokenizer};
+    use crate::sphere::xml_context_vector;
     use semnet::mini_wordnet;
     use xmltree::tree::TreeBuilder;
 
@@ -442,7 +434,7 @@ mod tests {
         // Reproduce the numerator by hand: one entry ("star"), whose best
         // sense similarity is maxed over star's senses, weighted by the
         // context vector's "star" coordinate.
-        let vector = xml_context_vector(&t, cast, 1);
+        let vector = xml_context_vector(sn, &t, cast, 1);
         let star_weight = vector.get("star");
         assert!(star_weight > 0.0);
         let best: f64 = sn
@@ -561,18 +553,13 @@ mod tests {
         let sim = CombinedSimilarity::default();
         let labels = LabelTable::new(sn, &t);
         let memo = EvidenceMemo::new(labels.len());
+        let mut sphere = SphereScratch::new(&labels);
         let mut pairs = 0;
         for _pass in 0..2 {
             for node in t.preorder() {
                 let standalone = ConceptContext::build(sn, &t, node, 2);
-                let scoped = ConceptContext::build_in(
-                    &labels,
-                    &memo,
-                    &t,
-                    node,
-                    2,
-                    DistancePolicy::EdgeCount,
-                );
+                sphere.assemble(&labels, &t, node, 2, DistancePolicy::EdgeCount);
+                let scoped = ConceptContext::build_in(&labels, &memo, &sphere);
                 let targets: Vec<SenseChoice> = match labels.candidates(node) {
                     SenseCandidates::Unknown => Vec::new(),
                     SenseCandidates::Single(senses) => {
@@ -616,6 +603,7 @@ mod tests {
             ));
             let labels = LabelTable::new(sn, &t);
             let memo = EvidenceMemo::new(labels.len());
+            let mut sphere = SphereScratch::new(&labels);
             let mut unknown_labels = 0;
             for node in t.preorder() {
                 let candidates = labels.candidates(node);
@@ -623,14 +611,8 @@ mod tests {
                     unknown_labels += usize::from(t.label(node).starts_with("qz"));
                     continue;
                 }
-                let ctx = ConceptContext::build_in(
-                    &labels,
-                    &memo,
-                    &t,
-                    node,
-                    2,
-                    DistancePolicy::EdgeCount,
-                );
+                sphere.assemble(&labels, &t, node, 2, DistancePolicy::EdgeCount);
+                let ctx = ConceptContext::build_in(&labels, &memo, &sphere);
                 for (target, _) in candidates.choices() {
                     ctx.score(sn, &sim, target, None);
                 }

@@ -287,8 +287,8 @@ mod tests {
 
     #[test]
     fn vector_similarity_measures_apply() {
-        let a = semsim::SparseVector::from_pairs([("x", 1.0), ("y", 2.0)]);
-        let b = semsim::SparseVector::from_pairs([("x", 1.0), ("y", 2.0)]);
+        let a = semsim::SparseVector::from_ids([(0, 1.0), (1, 2.0)]);
+        let b = semsim::SparseVector::from_ids([(0, 1.0), (1, 2.0)]);
         for m in [
             VectorSimilarity::Cosine,
             VectorSimilarity::Jaccard,
@@ -308,9 +308,9 @@ mod tests {
         // clamp, every anti-correlated candidate scored exactly 0 and the
         // ranking lost all resolution below r = 0. The affine rescale keeps
         // them distinct and ordered by r.
-        let target = semsim::SparseVector::from_pairs([("x", 3.0), ("y", 2.0), ("z", 1.0)]);
-        let strongly_anti = semsim::SparseVector::from_pairs([("x", 1.0), ("y", 2.0), ("z", 3.0)]);
-        let weakly_anti = semsim::SparseVector::from_pairs([("x", 1.0), ("y", 3.0), ("z", 2.0)]);
+        let target = semsim::SparseVector::from_ids([(0, 3.0), (1, 2.0), (2, 1.0)]);
+        let strongly_anti = semsim::SparseVector::from_ids([(0, 1.0), (1, 2.0), (2, 3.0)]);
+        let weakly_anti = semsim::SparseVector::from_ids([(0, 1.0), (1, 3.0), (2, 2.0)]);
         let r_strong = target.pearson(&strongly_anti);
         let r_weak = target.pearson(&weakly_anti);
         assert!(r_strong < 0.0 && r_weak < 0.0, "{r_strong}, {r_weak}");
@@ -331,8 +331,8 @@ mod tests {
         // map empty-vs-anything to (0 + 1)/2 = 0.5. All measures must agree
         // that a vector with no evidence scores exactly 0.0.
         let empty = semsim::SparseVector::new();
-        let zero = semsim::SparseVector::from_pairs([("x", 0.0)]);
-        let real = semsim::SparseVector::from_pairs([("x", 1.0), ("y", 2.0)]);
+        let zero = semsim::SparseVector::from_ids([(0, 0.0)]);
+        let real = semsim::SparseVector::from_ids([(0, 1.0), (1, 2.0)]);
         for m in [
             VectorSimilarity::Cosine,
             VectorSimilarity::Jaccard,

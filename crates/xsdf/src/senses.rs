@@ -11,6 +11,7 @@ use xmltree::tree::ValueTokenizer;
 use xmltree::{NodeId, NodeKind, XmlTree};
 
 use crate::pipeline::SenseChoice;
+use crate::sphere::label_dimension;
 
 /// The candidate senses of one node label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,6 +157,13 @@ impl LabelId {
 /// once per distinct `(label, node kind)`, on first use, and lent by
 /// reference to target candidates and concept-context entries. Building
 /// it hashes each node's label once.
+///
+/// It also numbers the document's distinct label *strings* in string
+/// order: a label's *dimension*, shared by every kind of node carrying
+/// it, indexes the per-document context-vector weights
+/// ([`crate::sphere`]), and its lemma-space key (built on first use, by
+/// the context process only) is the label's dimension in a
+/// [`semsim::SparseVector`].
 pub(crate) struct LabelTable<'t> {
     sn: &'t SemanticNetwork,
     tree: &'t XmlTree,
@@ -164,10 +172,17 @@ pub(crate) struct LabelTable<'t> {
     /// Per label id: the first node carrying it, and its candidates once
     /// resolved.
     labels: Vec<(NodeId, OnceCell<SenseCandidates>)>,
+    /// Per label id: the dimension of its label string.
+    dimensions: Vec<u32>,
+    /// Per dimension: the label string, in string order.
+    texts: Vec<&'t str>,
+    /// Per dimension: its [`label_dimension`] key.
+    keys: OnceCell<Vec<u64>>,
 }
 
 impl<'t> LabelTable<'t> {
-    /// Assigns every node of `tree` its label id.
+    /// Assigns every node of `tree` its label id, and every distinct label
+    /// string its dimension.
     pub(crate) fn new(sn: &'t SemanticNetwork, tree: &'t XmlTree) -> Self {
         let mut ids: HashMap<(&str, NodeKind), LabelId> = HashMap::new();
         let mut labels = Vec::new();
@@ -181,11 +196,25 @@ impl<'t> LabelTable<'t> {
                     })
             })
             .collect();
+        let mut by_text: Vec<usize> = (0..labels.len()).collect();
+        by_text.sort_unstable_by_key(|&id| tree.label(labels[id].0));
+        let mut dimensions = vec![0; labels.len()];
+        let mut texts: Vec<&str> = Vec::new();
+        for id in by_text {
+            let text = tree.label(labels[id].0);
+            if texts.last() != Some(&text) {
+                texts.push(text);
+            }
+            dimensions[id] = texts.len() as u32 - 1;
+        }
         Self {
             sn,
             tree,
             node_labels,
             labels,
+            dimensions,
+            texts,
+            keys: OnceCell::new(),
         }
     }
 
@@ -197,6 +226,35 @@ impl<'t> LabelTable<'t> {
     /// The label id of `node`.
     pub(crate) fn label_id(&self, node: NodeId) -> LabelId {
         self.node_labels[node.index()]
+    }
+
+    /// Number of distinct label strings in the document.
+    pub(crate) fn dimensions(&self) -> usize {
+        self.texts.len()
+    }
+
+    /// The dimension of `node`'s label string: its rank among the
+    /// document's distinct labels in string order.
+    pub(crate) fn dimension(&self, node: NodeId) -> u32 {
+        self.dimensions[self.label_id(node).index()]
+    }
+
+    /// The label string of a dimension.
+    pub(crate) fn text(&self, dimension: u32) -> &'t str {
+        self.texts[dimension as usize]
+    }
+
+    /// Every dimension's [`label_dimension`] key, increasing with the
+    /// dimension. Looks each label up in the network's lemma table once
+    /// per document, building that table on first use.
+    pub(crate) fn keys(&self) -> &[u64] {
+        self.keys.get_or_init(|| {
+            let lemmas = self.sn.lemma_table();
+            (0..)
+                .zip(&self.texts)
+                .map(|(dimension, text)| label_dimension(lemmas, text, dimension))
+                .collect()
+        })
     }
 
     /// The disambiguation candidates of `node`'s label and kind.

@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn context_vector_bounds(tree in arb_tree(), radius in 1u32..4) {
         for center in tree.preorder() {
-            let v = xml_context_vector(&tree, center, radius);
+            let v = xml_context_vector(semnet::mini_wordnet(), &tree, center, radius);
             prop_assert!(!v.is_empty());
             for (label, w) in v.iter() {
                 prop_assert!((0.0..=1.0).contains(&w), "w({label}) = {w}");
@@ -91,8 +91,8 @@ proptest! {
     #[test]
     fn weighted_vector_consistency(tree in arb_tree(), radius in 1u32..4) {
         let center = tree.root();
-        let a = xml_context_vector(&tree, center, radius);
-        let b = xml_context_vector_weighted(&tree, center, radius, DistancePolicy::EdgeCount);
+        let a = xml_context_vector(semnet::mini_wordnet(), &tree, center, radius);
+        let b = xml_context_vector_weighted(semnet::mini_wordnet(), &tree, center, radius, DistancePolicy::EdgeCount);
         for (label, w) in a.iter() {
             prop_assert!((w - b.get(label)).abs() < 1e-12);
         }

@@ -37,15 +37,14 @@ fn main() {
         result.reports.len()
     );
     for report in &result.reports {
-        if let Some((_choice, score)) = &report.chosen {
+        if let Some((choice, score)) = &report.chosen {
             let sense = result.semantic_tree.sense(report.node).unwrap();
             println!(
                 "  {:12} -> {:20} (score {:.3}, ambiguity {:.3})",
                 report.label, sense.concept, score, report.ambiguity
             );
-            if let Some(gloss) = &sense.gloss {
-                println!("               \"{gloss}\"");
-            }
+            let gloss = &network.concept(choice.primary()).gloss;
+            println!("               \"{gloss}\"");
         }
     }
 

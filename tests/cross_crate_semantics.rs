@@ -5,7 +5,7 @@
 use semsim::{extended_gloss_overlap, lin, wu_palmer, CombinedSimilarity};
 use xmltree::tree::TreeBuilder;
 use xsdf::senses::{disambiguation_candidates, SenseCandidates};
-use xsdf::sphere::{concept_context_vector, xml_context_vector};
+use xsdf::sphere::{concept_context_vector, xml_context_vector, LabelledVector};
 use xsdf::LingTokenizer;
 
 #[test]
@@ -70,7 +70,7 @@ fn xml_and_concept_vectors_share_one_label_space() {
         .unwrap()
         .tree;
     let cast = tree.preorder().find(|&n| tree.label(n) == "cast").unwrap();
-    let xml_v = xml_context_vector(&tree, cast, 2);
+    let xml_v = xml_context_vector(sn, &tree, cast, 2);
     let concept_v = concept_context_vector(
         sn,
         sn.by_key("cast.actors").unwrap(),
@@ -79,8 +79,9 @@ fn xml_and_concept_vectors_share_one_label_space() {
     );
     // Both vectors mention "star" (structural sibling / member concept).
     assert!(xml_v.get("star") > 0.0);
-    assert!(concept_v.get("star") > 0.0);
-    assert!(xml_v.cosine(&concept_v) > 0.0);
+    let concept_labelled = LabelledVector::of_concept_vector(sn, concept_v.clone());
+    assert!(concept_labelled.get("star") > 0.0);
+    assert!(xml_v.vector().cosine(&concept_v) > 0.0);
 }
 
 #[test]
