@@ -18,7 +18,7 @@
 
 use semnet::{ConceptId, SemanticNetwork};
 use semsim::wu_palmer;
-use xmltree::distance::NodesWithin;
+use xmltree::distance::sphere;
 use xmltree::{NodeId, XmlTree};
 use xsdf::senses::{disambiguation_candidates, SenseCandidates};
 use xsdf::SenseChoice;
@@ -148,7 +148,8 @@ impl Vsd {
         }
         // Context: nodes reachable through crossable edges, each carrying
         // its Gaussian decay weight.
-        let context: Vec<(f64, Vec<ConceptId>)> = NodesWithin::new(tree, node, reach)
+        let context: Vec<(f64, Vec<ConceptId>)> = sphere(tree, node, reach)
+            .into_iter()
             .filter_map(|(n, dist)| {
                 let weight = self.decay(dist);
                 if weight < self.crossable_threshold {
