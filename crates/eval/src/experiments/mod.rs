@@ -66,6 +66,12 @@ pub fn optimal_for(group: corpus::Group) -> xsdf::XsdfConfig {
     crate::experiments::fig9::optimal_config(group)
 }
 
+/// An experiment result as pretty-printed JSON (two-space indent, members
+/// in declaration order): the text [`dump_json`] writes.
+pub fn to_json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("the JSON writer is infallible")
+}
+
 /// Writes an experiment result as JSON under `target/experiments/`, so
 /// EXPERIMENTS.md numbers are regenerable and machine-checkable.
 pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) {
@@ -75,15 +81,10 @@ pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) {
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    if let Err(e) = std::fs::write(&path, to_json(value)) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
+    } else {
+        eprintln!("(wrote {})", path.display());
     }
 }
 

@@ -4,7 +4,9 @@
 //! binaries; these tests keep the shapes from regressing.)
 
 use corpus::{Corpus, Group};
-use xsdf_eval::experiments::{fig9, table1, table2, table3, table4};
+use xsdf_eval::experiments::{
+    fig8, fig9, table1, table2, table3, table4, to_json, TARGETS_PER_DOC,
+};
 
 fn small_corpus() -> (&'static semnet::SemanticNetwork, Corpus) {
     let sn = semnet::mini_wordnet();
@@ -116,4 +118,50 @@ fn f_values_in_papers_ballpark() {
         let f = f9.f(group, "XSDF");
         assert!((0.45..=0.95).contains(&f), "group {group}: f = {f:.3}");
     }
+}
+
+/// FNV-1a over bytes, 64-bit (as `crates/xsdf/tests/golden_digests.rs`):
+/// stable across Rust releases, unlike `DefaultHasher`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// The JSON that the six `exp_*` binaries dump, pinned on the small
+/// corpus: a change that moves any Section 4 number, or the layout of the
+/// dumped JSON, fails here. Update a digest only for an intended change,
+/// from the values this test prints when it fails.
+#[test]
+fn experiment_json_digests_are_pinned() {
+    const PINNED: [(&str, u64); 6] = [
+        ("table1", 0xd279330c8a0f42c4),
+        ("table2", 0xace987796729fff5),
+        ("table3", 0x60528192939cb10d),
+        ("table4", 0x19a8ed15bd53c32e),
+        ("fig8", 0xbb168c88b9f9262d),
+        ("fig9", 0xb7b80ad87451ee48),
+    ];
+    let (sn, corpus) = small_corpus();
+    let json = [
+        to_json(&table1::run(sn, &corpus)),
+        to_json(&table2::run(sn, &corpus, TARGETS_PER_DOC)),
+        to_json(&table3::run(sn, &corpus)),
+        to_json(&table4::rows()),
+        to_json(&fig8::run(sn, &corpus, TARGETS_PER_DOC)),
+        to_json(&fig9::run(sn, &corpus, TARGETS_PER_DOC)),
+    ];
+    let digests: Vec<(&str, u64)> = PINNED
+        .iter()
+        .zip(&json)
+        .map(|(&(name, _), text)| (name, fnv1a64(text.as_bytes())))
+        .collect();
+    let listing: String = digests
+        .iter()
+        .map(|(name, digest)| format!("(\"{name}\", {digest:#018x}),\n"))
+        .collect();
+    assert_eq!(digests, PINNED, "digests now:\n{listing}");
 }
