@@ -1,5 +1,4 @@
-//! Quality-side ablations of XSDF's design choices (the time-side ablations
-//! live in `crates/bench/benches/ablations.rs`):
+//! Quality-side ablations of XSDF's design choices:
 //!
 //! * similarity measures: each single measure of Definition 9 vs the
 //!   combination;

@@ -4,9 +4,9 @@
 use baselines::XsdfDisambiguator;
 use corpus::{Corpus, Group};
 use semnet::SemanticNetwork;
-use serde::Serialize;
 
 use crate::experiments::score_document;
+use crate::json::json_object;
 use crate::metrics::PrfScores;
 use crate::report::{fmt3, Table};
 use xsdf::{DisambiguationProcess, XsdfConfig};
@@ -25,7 +25,7 @@ pub const PROCESSES: [(&str, DisambiguationProcess); 3] = [
 ];
 
 /// One measured cell of Figure 8.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Cell {
     /// Group number (1–4).
     pub group: usize,
@@ -41,12 +41,23 @@ pub struct Fig8Cell {
     pub f_value: f64,
 }
 
+json_object!(Fig8Cell {
+    group,
+    radius,
+    process,
+    precision,
+    recall,
+    f_value
+});
+
 /// The Figure 8 result: 4 groups × 3 radii × 3 processes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8 {
     /// All measured cells.
     pub cells: Vec<Fig8Cell>,
 }
+
+json_object!(Fig8 { cells });
 
 /// Runs the Figure 8 sweep.
 pub fn run(sn: &SemanticNetwork, corpus: &Corpus, per_doc: usize) -> Fig8 {

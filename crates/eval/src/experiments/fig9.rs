@@ -5,15 +5,15 @@
 use baselines::{Disambiguator, Rpd, Vsd, XsdfDisambiguator};
 use corpus::{Corpus, Group};
 use semnet::SemanticNetwork;
-use serde::Serialize;
 
 use crate::experiments::score_document;
+use crate::json::json_object;
 use crate::metrics::PrfScores;
 use crate::report::{fmt3, Table};
 use xsdf::XsdfConfig;
 
 /// One method's scores on one group.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Cell {
     /// Group number.
     pub group: usize,
@@ -27,12 +27,22 @@ pub struct Fig9Cell {
     pub f_value: f64,
 }
 
+json_object!(Fig9Cell {
+    group,
+    method,
+    precision,
+    recall,
+    f_value
+});
+
 /// The Figure 9 result: 4 groups × 3 methods.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9 {
     /// All cells.
     pub cells: Vec<Fig9Cell>,
 }
+
+json_object!(Fig9 { cells });
 
 /// XSDF's optimal configuration for a group (Section 4.3.2: `d = 1` for
 /// Group 1, `d = 3` for Groups 2–4, concept-based everywhere).

@@ -15,6 +15,8 @@ use xsdf::SenseChoice;
 
 use crate::metrics::PrfScores;
 
+pub use crate::json::to_json;
+
 /// Renders a [`SenseChoice`] as a comparable key (matching
 /// [`corpus::GoldSense::key`]).
 pub fn choice_key(sn: &SemanticNetwork, choice: SenseChoice) -> String {
@@ -61,20 +63,9 @@ pub const DEFAULT_SEED: u64 = 2015;
 /// pre-selected nodes per document"). We use 13.
 pub const TARGETS_PER_DOC: usize = 13;
 
-/// XSDF's per-group optimal configuration (re-exported for diagnostics).
-pub fn optimal_for(group: corpus::Group) -> xsdf::XsdfConfig {
-    crate::experiments::fig9::optimal_config(group)
-}
-
-/// An experiment result as pretty-printed JSON (two-space indent, members
-/// in declaration order): the text [`dump_json`] writes.
-pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("the JSON writer is infallible")
-}
-
 /// Writes an experiment result as JSON under `target/experiments/`, so
 /// EXPERIMENTS.md numbers are regenerable and machine-checkable.
-pub fn dump_json<T: serde::Serialize>(name: &str, value: &T) {
+pub fn dump_json<T: crate::json::ToJson + ?Sized>(name: &str, value: &T) {
     let dir = std::path::Path::new("target/experiments");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());

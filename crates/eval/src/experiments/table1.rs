@@ -3,14 +3,14 @@
 
 use corpus::{Corpus, Group};
 use semnet::SemanticNetwork;
-use serde::Serialize;
 
+use crate::json::json_object;
 use crate::report::{fmt3, Table};
 use crate::stats::{avg_ambiguity_degree, avg_struct_degree, StructWeights};
 use xsdf::AmbiguityWeights;
 
 /// One group's averages.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GroupDegrees {
     /// 1-based group number.
     pub group: usize,
@@ -20,12 +20,20 @@ pub struct GroupDegrees {
     pub struct_deg: f64,
 }
 
+json_object!(GroupDegrees {
+    group,
+    amb_deg,
+    struct_deg
+});
+
 /// The Table 1 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Per-group degrees, groups 1–4 in order.
     pub groups: Vec<GroupDegrees>,
 }
+
+json_object!(Table1 { groups });
 
 /// Runs the Table 1 measurement.
 pub fn run(sn: &SemanticNetwork, corpus: &Corpus) -> Table1 {

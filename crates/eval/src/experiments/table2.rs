@@ -13,15 +13,15 @@
 use corpus::annotators::rate_tree;
 use corpus::{Corpus, DatasetId};
 use semnet::SemanticNetwork;
-use serde::Serialize;
 
+use crate::json::json_object;
 use crate::metrics::pearson;
 use crate::report::{fmt3, Table};
 use xsdf::ambiguity::ambiguity_degree;
 use xsdf::AmbiguityWeights;
 
 /// One dataset row of Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// 1-based dataset number ("Doc N" in the paper).
     pub dataset: usize,
@@ -33,12 +33,21 @@ pub struct Table2Row {
     pub pairs: usize,
 }
 
+json_object!(Table2Row {
+    dataset,
+    group,
+    correlations,
+    pairs
+});
+
 /// The Table 2 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// One row per dataset.
     pub rows: Vec<Table2Row>,
 }
+
+json_object!(Table2 { rows });
 
 /// The four weight configurations of the paper's Tests #1–#4.
 pub fn test_configs() -> [AmbiguityWeights; 4] {

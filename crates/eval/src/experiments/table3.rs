@@ -4,13 +4,13 @@
 
 use corpus::{Corpus, DatasetId};
 use semnet::SemanticNetwork;
-use serde::Serialize;
 
+use crate::json::json_object;
 use crate::report::{fmt1, fmt3, Table};
 use crate::stats::{aggregate_stats, tree_stats, TreeStats};
 
 /// One dataset row of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// 1-based dataset number.
     pub dataset: usize,
@@ -28,12 +28,24 @@ pub struct Table3Row {
     pub stats: TreeStats,
 }
 
+json_object!(Table3Row {
+    dataset,
+    group,
+    source,
+    grammar,
+    num_docs,
+    avg_nodes,
+    stats
+});
+
 /// The Table 3 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// One row per dataset.
     pub rows: Vec<Table3Row>,
 }
+
+json_object!(Table3 { rows });
 
 /// Runs the Table 3 measurement over a generated corpus.
 pub fn run(sn: &SemanticNetwork, corpus: &Corpus) -> Table3 {

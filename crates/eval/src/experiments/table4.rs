@@ -4,12 +4,11 @@
 //! module that implements it, so the table doubles as a feature index of
 //! this repository.
 
-use serde::Serialize;
-
+use crate::json::json_object;
 use crate::report::Table;
 
 /// One feature row of Table 4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Feature {
     /// The feature as phrased by the paper.
     pub feature: &'static str,
@@ -22,6 +21,14 @@ pub struct Feature {
     /// Where this repository implements it (for XSDF) or models it.
     pub implemented_in: &'static str,
 }
+
+json_object!(Feature {
+    feature,
+    rpd,
+    vsd,
+    xsdf,
+    implemented_in
+});
 
 /// The full Table 4.
 pub fn rows() -> Vec<Feature> {

@@ -12,15 +12,16 @@
 //! | Figure 8 (f-value by configuration) | [`experiments::fig8`] | `exp_fig8` |
 //! | Figure 9 (XSDF vs RPD vs VSD) | [`experiments::fig9`] | `exp_fig9` |
 //!
-//! Each experiment returns a serde-serializable result that the binaries
-//! render as fixed-width text tables (and dump as JSON next to the
-//! output), so paper-vs-measured comparisons in `EXPERIMENTS.md` are
-//! regenerable with one command per artifact.
+//! Each experiment returns a result that the binaries render as
+//! fixed-width text tables and dump as JSON (through [`json::ToJson`])
+//! next to the output, so paper-vs-measured comparisons in
+//! `EXPERIMENTS.md` are regenerable with one command per artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod stats;

@@ -1,10 +1,8 @@
 //! Precision / recall / f-value and Pearson correlation (Section 4's
 //! quality criteria).
 
-use serde::Serialize;
-
 /// Aggregated counts and derived precision/recall/f-value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrfScores {
     /// Target nodes the method assigned a sense to.
     pub assigned: usize,

@@ -2,10 +2,11 @@
 //! per-dataset node characteristics of Table 3.
 
 use semnet::SemanticNetwork;
-use serde::Serialize;
 use xmltree::{NodeId, XmlTree};
 use xsdf::ambiguity::ambiguity_degree;
 use xsdf::AmbiguityWeights;
+
+use crate::json::json_object;
 
 /// Weights of Equation 14 (`w_Depth + w_Fan-out + w_Density = 1`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +67,7 @@ pub fn avg_ambiguity_degree(sn: &SemanticNetwork, tree: &XmlTree, w: AmbiguityWe
 }
 
 /// Per-document node statistics (the measurement columns of Table 3).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TreeStats {
     /// Node count.
     pub nodes: usize,
@@ -87,6 +88,18 @@ pub struct TreeStats {
     /// Maximum density.
     pub density_max: usize,
 }
+
+json_object!(TreeStats {
+    nodes,
+    polysemy_avg,
+    polysemy_max,
+    depth_avg,
+    depth_max,
+    fan_out_avg,
+    fan_out_max,
+    density_avg,
+    density_max
+});
 
 /// Computes the Table 3 statistics of one tree.
 pub fn tree_stats(sn: &SemanticNetwork, tree: &XmlTree) -> TreeStats {

@@ -14,7 +14,6 @@
 use baselines::XsdfDisambiguator;
 use corpus::docgen::AnnotatedDocument;
 use semnet::SemanticNetwork;
-use serde::Serialize;
 use xmltree::NodeId;
 use xsdf::{DisambiguationProcess, DistancePolicy, XsdfConfig};
 
@@ -22,7 +21,7 @@ use crate::experiments::score_document;
 use crate::metrics::PrfScores;
 
 /// One evaluated configuration with its tuning-split score.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Trial {
     /// Human-readable description of the configuration.
     pub description: String,
@@ -39,12 +38,11 @@ pub struct Trial {
 }
 
 /// The outcome of a grid search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TuningResult {
     /// Every trial, sorted best-first.
     pub trials: Vec<Trial>,
-    /// Index of the winning trial (always 0 after sorting; kept for
-    /// serialization clarity).
+    /// Index of the winning trial (always 0 after sorting).
     pub best: usize,
 }
 
