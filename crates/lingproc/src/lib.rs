@@ -26,7 +26,7 @@ pub mod stem;
 pub mod stopwords;
 pub mod tokenize;
 
-pub use pipeline::{morphy_variants, Label, LabelKind, Preprocessor};
+pub use pipeline::{morphy_variants, LabelKind, Preprocessor};
 pub use stem::porter_stem;
 pub use stopwords::is_stop_word;
 pub use tokenize::{split_identifier, tokenize_text};

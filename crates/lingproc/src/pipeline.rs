@@ -11,7 +11,8 @@ use crate::stem::porter_stem;
 use crate::stopwords::is_stop_word;
 use crate::tokenize::{split_identifier, tokenize_text};
 
-/// How a processed label should be looked up in the semantic network.
+/// A processed node label, shaped by how it should be looked up in the
+/// semantic network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LabelKind {
     /// A single token (or a compound that matched one concept, e.g.
@@ -23,30 +24,13 @@ pub enum LabelKind {
     Compound(String, String),
 }
 
-/// A processed node label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Label {
-    /// The raw spelling from the document.
-    pub original: String,
-    /// Lookup structure for sense candidates.
-    pub kind: LabelKind,
-}
-
-impl Label {
+impl LabelKind {
     /// The display form used as the tree-node label and as a context-vector
     /// dimension: the single token, or the two tokens joined with a space.
     pub fn display(&self) -> String {
-        match &self.kind {
+        match self {
             LabelKind::Single(t) => t.clone(),
             LabelKind::Compound(a, b) => format!("{a} {b}"),
-        }
-    }
-
-    /// Convenience constructor for a single-token label.
-    pub fn single(original: impl Into<String>, token: impl Into<String>) -> Self {
-        Self {
-            original: original.into(),
-            kind: LabelKind::Single(token.into()),
         }
     }
 }
@@ -120,7 +104,7 @@ impl Preprocessor {
         }
     }
 
-    /// Processes an element/attribute tag name into a [`Label`]
+    /// Processes an element/attribute tag name into a [`LabelKind`]
     /// (Section 3.2's three input cases).
     ///
     /// * single word → `Single`, stemmed only if unknown to the lexicon;
@@ -130,25 +114,22 @@ impl Preprocessor {
     ///   remaining tokens form a `Compound` (or collapse to `Single` when
     ///   only one survives);
     /// * names with no alphabetic content yield `None`.
-    pub fn process_tag_name(&self, name: &str, lexicon: &dyn Fn(&str) -> bool) -> Option<Label> {
+    pub fn process_tag_name(
+        &self,
+        name: &str,
+        lexicon: &dyn Fn(&str) -> bool,
+    ) -> Option<LabelKind> {
         let tokens = split_identifier(name);
         if tokens.is_empty() {
             return None;
         }
         if tokens.len() == 1 {
-            let tok = self.normalize_token(&tokens[0], lexicon);
-            return Some(Label {
-                original: name.to_string(),
-                kind: LabelKind::Single(tok),
-            });
+            return Some(LabelKind::Single(self.normalize_token(&tokens[0], lexicon)));
         }
         // Compound: try the whole expression as a single concept first.
         let joined = tokens.join(" ");
         if lexicon(&joined) {
-            return Some(Label {
-                original: name.to_string(),
-                kind: LabelKind::Single(joined),
-            });
+            return Some(LabelKind::Single(joined));
         }
         // Otherwise: stop-word removal + conditional stemming, keeping at
         // most the first two content tokens in one label.
@@ -164,16 +145,12 @@ impl Preprocessor {
                 .map(|t| self.normalize_token(t, lexicon))
                 .collect();
         }
-        let kind = if content.len() == 1 {
+        Some(if content.len() == 1 {
             LabelKind::Single(content.remove(0))
         } else {
             let b = content.swap_remove(1);
             let a = content.swap_remove(0);
             LabelKind::Compound(a, b)
-        };
-        Some(Label {
-            original: name.to_string(),
-            kind,
         })
     }
 
@@ -220,9 +197,8 @@ mod tests {
     fn single_known_word_untouched() {
         let p = Preprocessor::new();
         let l = p.process_tag_name("cast", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("cast".into()));
+        assert_eq!(l, LabelKind::Single("cast".into()));
         assert_eq!(l.display(), "cast");
-        assert_eq!(l.original, "cast");
     }
 
     #[test]
@@ -230,14 +206,14 @@ mod tests {
         let p = Preprocessor::new();
         // "directed" is unknown, its stem "direct" is known.
         let l = p.process_tag_name("directed", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("direct".into()));
+        assert_eq!(l, LabelKind::Single("direct".into()));
     }
 
     #[test]
     fn unknown_even_after_stemming_kept() {
         let p = Preprocessor::new();
         let l = p.process_tag_name("zorble", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("zorble".into()));
+        assert_eq!(l, LabelKind::Single("zorble".into()));
     }
 
     #[test]
@@ -245,7 +221,7 @@ mod tests {
         // "FirstName" → "first name" is one concept in the lexicon.
         let p = Preprocessor::new();
         let l = p.process_tag_name("FirstName", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("first name".into()));
+        assert_eq!(l, LabelKind::Single("first name".into()));
     }
 
     #[test]
@@ -254,15 +230,14 @@ mod tests {
         // word; "directed" stems to "direct".
         let p = Preprocessor::new();
         let l = p.process_tag_name("Directed_By", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("direct".into()));
-        assert_eq!(l.original, "Directed_By");
+        assert_eq!(l, LabelKind::Single("direct".into()));
     }
 
     #[test]
     fn compound_without_single_match_stays_compound() {
         let p = Preprocessor::new();
         let l = p.process_tag_name("star_picture", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Compound("star".into(), "picture".into()));
+        assert_eq!(l, LabelKind::Compound("star".into(), "picture".into()));
         assert_eq!(l.display(), "star picture");
     }
 
@@ -272,7 +247,7 @@ mod tests {
         let l = p
             .process_tag_name("date_of_publication_year", &lexicon)
             .unwrap();
-        match l.kind {
+        match l {
             LabelKind::Compound(a, b) => {
                 assert_eq!(a, "date");
                 assert_eq!(b, "publication");
@@ -286,7 +261,7 @@ mod tests {
         let p = Preprocessor::new();
         let l = p.process_tag_name("for_each", &lexicon).unwrap();
         // Both are stop words: fall back to raw tokens as a compound.
-        assert_eq!(l.kind, LabelKind::Compound("for".into(), "each".into()));
+        assert_eq!(l, LabelKind::Compound("for".into(), "each".into()));
     }
 
     #[test]
@@ -339,7 +314,7 @@ mod tests {
             stem_unknown: false,
         };
         let l = p.process_tag_name("directed", &lexicon).unwrap();
-        assert_eq!(l.kind, LabelKind::Single("directed".into()));
+        assert_eq!(l, LabelKind::Single("directed".into()));
     }
 
     #[test]

@@ -47,10 +47,8 @@ pub enum NodeKind {
 pub struct TreeNode {
     /// Node label `T[i].ℓ`: a tag/attribute name or a value token. For tag
     /// names this is the *processed* label (after linguistic
-    /// pre-processing); [`TreeNode::original`] keeps the raw spelling.
+    /// pre-processing), not the raw spelling of the document.
     pub label: String,
-    /// The raw spelling as it appeared in the document.
-    pub original: String,
     /// Element, attribute, or value-token node.
     pub kind: NodeKind,
     /// Depth `T[i].d` in edges from the root (root has depth 0).
@@ -175,7 +173,6 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
     fn push_node(
         nodes: &mut Vec<TreeNode>,
         label: String,
-        original: String,
         kind: NodeKind,
         depth: u32,
         parent: Option<NodeId>,
@@ -183,7 +180,6 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
         let id = NodeId(nodes.len() as u32);
         nodes.push(TreeNode {
             label,
-            original,
             kind,
             depth,
             parent,
@@ -206,14 +202,7 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
     ) -> NodeId {
         let name = doc.name(elem).expect("element node");
         let label = self.tokenizer.normalize_label(name);
-        let node = Self::push_node(
-            nodes,
-            label,
-            name.to_string(),
-            NodeKind::Element,
-            depth,
-            parent,
-        );
+        let node = Self::push_node(nodes, label, NodeKind::Element, depth, parent);
         out.element_nodes.insert(elem, node);
 
         // Attributes first, sorted by name (Section 3.1), before sub-elements.
@@ -229,7 +218,6 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
             let attr_node = Self::push_node(
                 nodes,
                 attr_label,
-                attr.name.clone(),
                 NodeKind::Attribute,
                 depth + 1,
                 Some(node),
@@ -241,7 +229,6 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
                 for tok in tokens {
                     ids.push(Self::push_node(
                         nodes,
-                        tok.clone(),
                         tok,
                         NodeKind::ValueToken,
                         depth + 2,
@@ -266,7 +253,6 @@ impl<T: ValueTokenizer> TreeBuilder<T> {
                     for tok in tokens {
                         ids.push(Self::push_node(
                             nodes,
-                            tok.clone(),
                             tok,
                             NodeKind::ValueToken,
                             depth + 1,
@@ -326,12 +312,12 @@ impl XmlTree {
     }
 
     /// Returns a copy of the tree with every label rewritten through `f`;
-    /// structure, node kinds, `original` spellings and hyperlink edges are
-    /// untouched. Intended for metamorphic tests: sphere construction,
-    /// distances and context-vector weights depend only on structure and
-    /// label *identity*, so any injective relabeling must commute with
-    /// them. A relabeling that merges labels changes node densities, so
-    /// the cached maxima are recomputed.
+    /// structure, node kinds and hyperlink edges are untouched. Intended
+    /// for metamorphic tests: sphere construction, distances and
+    /// context-vector weights depend only on structure and label
+    /// *identity*, so any injective relabeling must commute with them. A
+    /// relabeling that merges labels changes node densities, so the cached
+    /// maxima are recomputed.
     pub fn relabeled(&self, f: impl Fn(&str) -> String) -> Self {
         let mut nodes = self.nodes.to_vec();
         for n in &mut nodes {
@@ -647,7 +633,6 @@ mod tests {
         let nodes = vec![
             TreeNode {
                 label: "a".into(),
-                original: "a".into(),
                 kind: NodeKind::Element,
                 depth: 0,
                 parent: None,
@@ -655,7 +640,6 @@ mod tests {
             },
             TreeNode {
                 label: "b".into(),
-                original: "b".into(),
                 kind: NodeKind::Element,
                 depth: 2, // wrong: should be 1
                 parent: Some(NodeId(0)),
@@ -680,7 +664,6 @@ mod tests {
             assert_eq!(r.depth(id), t.depth(id));
             assert_eq!(r.children(id), t.children(id));
             assert_eq!(r.node(id).kind, t.node(id).kind);
-            assert_eq!(r.node(id).original, t.node(id).original);
         }
     }
 
