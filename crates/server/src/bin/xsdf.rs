@@ -18,9 +18,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use runtime::{BatchEngine, CacheBudget, MetricsSnapshot, ResourceLimits, ShardReport, XsdfError};
+use server::service::{parse_process, parse_threshold, THRESHOLD_VALUES};
 use server::{report, signal, Server, ServerConfig};
 use xsdf::guard::LimitKind;
-use xsdf::{DisambiguationProcess, ThresholdPolicy, Xsdf, XsdfConfig};
+use xsdf::{Xsdf, XsdfConfig};
 
 /// Exit code for a batch where some — but not all — documents failed.
 /// `0` means every document succeeded; `1` is a total or usage failure.
@@ -318,25 +319,12 @@ fn build_config(flags: &Flags) -> Result<XsdfConfig, String> {
             .map_err(|_| format!("bad --radius value {radius:?}"))?;
     }
     if let Some(process) = flags.value("--process") {
-        config.process = match process {
-            "concept" => DisambiguationProcess::ConceptBased,
-            "context" => DisambiguationProcess::ContextBased,
-            "combined" => DisambiguationProcess::Combined {
-                concept: 0.5,
-                context: 0.5,
-            },
-            other => return Err(format!("bad --process value {other:?}")),
-        };
+        config.process =
+            parse_process(process).ok_or_else(|| format!("bad --process value {process:?}"))?;
     }
     if let Some(threshold) = flags.value("--threshold") {
-        config.threshold = if threshold == "auto" {
-            ThresholdPolicy::Auto
-        } else {
-            let t: f64 = threshold
-                .parse()
-                .map_err(|_| format!("bad --threshold value {threshold:?}"))?;
-            ThresholdPolicy::Fixed(t)
-        };
+        config.threshold = parse_threshold(threshold)
+            .ok_or_else(|| format!("bad --threshold value {threshold:?}: {THRESHOLD_VALUES}"))?;
     }
     if flags.has("--structure-only") {
         config.structure_and_content = false;

@@ -768,6 +768,36 @@ fn method_not_allowed(allow: &str) -> Response {
     .header("Allow", allow)
 }
 
+/// Parses a disambiguation process name, as `--process` and `?process=`
+/// take it: `concept`, `context` or `combined` (equal weights).
+pub fn parse_process(value: &str) -> Option<DisambiguationProcess> {
+    match value {
+        "concept" => Some(DisambiguationProcess::ConceptBased),
+        "context" => Some(DisambiguationProcess::ContextBased),
+        "combined" => Some(DisambiguationProcess::Combined {
+            concept: 0.5,
+            context: 0.5,
+        }),
+        _ => None,
+    }
+}
+
+/// What [`parse_threshold`] accepts, for error messages.
+pub const THRESHOLD_VALUES: &str = "expected auto or a number in [0, 1]";
+
+/// Parses an ambiguity threshold, as `--threshold` and `?threshold=` take
+/// it: `auto`, or a number in [0, 1]. `NaN` and the infinities are outside
+/// the range.
+pub fn parse_threshold(value: &str) -> Option<ThresholdPolicy> {
+    if value == "auto" {
+        return Some(ThresholdPolicy::Auto);
+    }
+    let t: f64 = value.parse().ok()?;
+    (0.0..=1.0)
+        .contains(&t)
+        .then_some(ThresholdPolicy::Fixed(t))
+}
+
 /// Applies per-request query parameters over the server's baseline
 /// configuration. Unknown parameters are rejected — silent typos would
 /// otherwise serve results under the wrong configuration.
@@ -781,15 +811,8 @@ fn request_config(base: &XsdfConfig, request: &Request) -> Result<XsdfConfig, St
                     .map_err(|_| format!("bad radius value {value:?}"))?;
             }
             "process" => {
-                config.process = match value.as_str() {
-                    "concept" => DisambiguationProcess::ConceptBased,
-                    "context" => DisambiguationProcess::ContextBased,
-                    "combined" => DisambiguationProcess::Combined {
-                        concept: 0.5,
-                        context: 0.5,
-                    },
-                    other => return Err(format!("bad process value {other:?}")),
-                };
+                config.process =
+                    parse_process(value).ok_or_else(|| format!("bad process value {value:?}"))?;
             }
             "measure" => {
                 config.vector_similarity = match value.as_str() {
@@ -800,17 +823,8 @@ fn request_config(base: &XsdfConfig, request: &Request) -> Result<XsdfConfig, St
                 };
             }
             "threshold" => {
-                config.threshold = if value == "auto" {
-                    ThresholdPolicy::Auto
-                } else {
-                    let t: f64 = value
-                        .parse()
-                        .map_err(|_| format!("bad threshold value {value:?}"))?;
-                    if !(0.0..=1.0).contains(&t) {
-                        return Err(format!("threshold {t} outside [0, 1]"));
-                    }
-                    ThresholdPolicy::Fixed(t)
-                };
+                config.threshold = parse_threshold(value)
+                    .ok_or_else(|| format!("bad threshold value {value:?}: {THRESHOLD_VALUES}"))?;
             }
             "structure" => {
                 config.structure_and_content = match value.as_str() {
@@ -883,6 +897,23 @@ mod tests {
                 request_config(&base, &req_with_query(&query)).is_err(),
                 "{query:?} should be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn threshold_parser_takes_auto_or_the_unit_range() {
+        assert!(matches!(
+            parse_threshold("auto"),
+            Some(ThresholdPolicy::Auto)
+        ));
+        for value in ["0", "0.5", "1"] {
+            assert!(
+                matches!(parse_threshold(value), Some(ThresholdPolicy::Fixed(_))),
+                "{value}"
+            );
+        }
+        for value in ["1.5", "-1", "nan", "inf", "", "half"] {
+            assert!(parse_threshold(value).is_none(), "{value}");
         }
     }
 

@@ -672,6 +672,44 @@ fn repeated_flags_are_usage_errors() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `--threshold` takes what `?threshold=` takes: `auto` or a number in
+/// [0, 1]. Any other float, NaN included, used to run as a fixed
+/// threshold.
+#[test]
+fn thresholds_outside_the_unit_range_are_usage_errors() {
+    let doc = write_temp("threshold.xml", "<cast><star>Kelly</star></cast>");
+    for command in ["disambiguate", "batch"] {
+        for value in ["1.5", "nan", "-1"] {
+            let output = xsdf()
+                .arg(command)
+                .arg(&doc)
+                .args(["--threshold", value, "--quiet"])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{command} {value}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: bad --threshold value \"{value}\"")),
+                "{command} {value}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{command} {value}: {stderr}");
+            assert!(
+                output.stdout.is_empty(),
+                "{command} {value} must not run the command"
+            );
+        }
+    }
+    for value in ["0", "1", "0.25", "auto"] {
+        let output = xsdf()
+            .arg("disambiguate")
+            .arg(&doc)
+            .args(["--threshold", value, "--quiet"])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{value}");
+    }
+}
+
 #[test]
 fn missing_file_is_a_clean_error() {
     let output = xsdf()
