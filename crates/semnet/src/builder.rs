@@ -253,6 +253,8 @@ impl NetworkBuilder {
             max_polysemy,
             artifacts: std::sync::OnceLock::new(),
             lemmas: std::sync::OnceLock::new(),
+            ancestry: std::sync::OnceLock::new(),
+            occurrences: std::sync::OnceLock::new(),
         })
     }
 }

@@ -12,10 +12,12 @@ use crate::network::SemanticNetwork;
 /// distance 0, then each ancestor at the first (shortest) distance the
 /// walk reaches it.
 ///
-/// This is the crate's one ancestor walk; subsumption, taxonomy path
-/// lengths and the lowest common subsumer all read it. An ancestry is a
-/// few dozen concepts at most, so the list doubles as the BFS queue and
-/// a linear scan is the membership test.
+/// This is the crate's one ancestor walk. It builds
+/// [`SemanticNetwork::ancestor_table`], which holds this list for every
+/// concept; subsumption, taxonomy path lengths and the lowest common
+/// subsumer read the table. An ancestry is a few dozen concepts at most,
+/// so the list doubles as the BFS queue and a linear scan is the
+/// membership test.
 pub fn ancestors(sn: &SemanticNetwork, c: ConceptId) -> Vec<(ConceptId, u32)> {
     // Room for a typical ancestry (a WordNet noun sits about a dozen
     // hypernyms deep), so the walk rarely regrows the list.
@@ -48,14 +50,15 @@ pub struct Subsumer {
 }
 
 /// The ancestors two concepts share, each with its minimal distance from
-/// `a` and from `b`, from one walk up each side.
+/// `a` and from `b`, read from the network's ancestor table.
 fn shared_ancestors(
     sn: &SemanticNetwork,
     a: ConceptId,
     b: ConceptId,
-) -> impl Iterator<Item = (ConceptId, u32, u32)> {
-    let anc_b = ancestors(sn, b);
-    ancestors(sn, a).into_iter().filter_map(move |(c, da)| {
+) -> impl Iterator<Item = (ConceptId, u32, u32)> + '_ {
+    let table = sn.ancestor_table();
+    let anc_b = table.get(b);
+    table.get(a).iter().filter_map(move |&(c, da)| {
         let &(_, db) = anc_b.iter().find(|&&(cb, _)| cb == c)?;
         Some((c, da, db))
     })
@@ -94,7 +97,10 @@ pub fn taxonomy_path_length(sn: &SemanticNetwork, a: ConceptId, b: ConceptId) ->
 
 /// `true` if `ancestor` subsumes `c` (is an is-a ancestor of it, or equal).
 pub fn subsumes(sn: &SemanticNetwork, ancestor: ConceptId, c: ConceptId) -> bool {
-    ancestors(sn, c).iter().any(|&(x, _)| x == ancestor)
+    sn.ancestor_table()
+        .get(c)
+        .iter()
+        .any(|&(x, _)| x == ancestor)
 }
 
 /// Which relation kinds a semantic sphere traversal may cross.

@@ -227,6 +227,16 @@ proptest! {
         }
     }
 
+    /// The ancestor table holds every concept's walk, under multiple
+    /// inheritance too.
+    #[test]
+    fn ancestor_table_holds_each_walk(sn in arb_taxonomy()) {
+        let table = sn.ancestor_table();
+        for c in sn.all_concepts() {
+            prop_assert_eq!(table.get(c).to_vec(), ancestors(&sn, c));
+        }
+    }
+
     /// Taxonomy path length is symmetric and satisfies identity.
     #[test]
     fn path_length_symmetric(sn in arb_taxonomy()) {
