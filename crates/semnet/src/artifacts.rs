@@ -18,6 +18,14 @@
 //! Interning is order-stable (first occurrence wins), and every sequence
 //! preserves the exact token order the string-based pipeline produced, so
 //! id-space kernels reproduce string-space scores bit for bit.
+//!
+//! The gloss kernel reads two things from here: the token sets, whose
+//! merge walk rules out a pair with no shared token before any phrase
+//! matching, and the extended sequences. It matches phrases over each
+//! sequence's `(token, position)` list sorted by token, which
+//! [`SemanticNetwork::gloss_occurrences`] derives from `extended` on first
+//! use. Those lists stay out of this table, and so out of snapshots: a
+//! snapshot load installs the table as stored and derives nothing.
 
 use std::collections::HashMap;
 
@@ -45,7 +53,7 @@ pub struct GlossArtifacts {
     /// (multi-edges repeat, mirroring the assembly the string kernel used).
     extended: Vec<Vec<u32>>,
     /// Per concept: sorted, deduplicated token ids of `extended` — the
-    /// cheap disjointness pre-check set.
+    /// gloss kernel's disjointness pre-check set.
     token_sets: Vec<Vec<u32>>,
     /// Per concept: sorted, deduplicated neighbor concept ids (any relation
     /// kind).
