@@ -3,7 +3,6 @@
 //! the combined score (Equation 13), and the target's final sense choice
 //! with the pipeline's exact tie-breaking and annotation gate.
 
-use semnet::graph::RelationFilter;
 use semnet::{ConceptId, SemanticNetwork};
 use xmltree::{NodeId, XmlTree};
 use xsdf::config::XsdfConfig;
@@ -134,7 +133,7 @@ pub fn context_score_single(
     candidate: ConceptId,
 ) -> f64 {
     let xml = xml_context_vector(tree, target, cfg.radius);
-    let concept = concept_context_vector(sn, candidate, cfg.radius, &RelationFilter::All);
+    let concept = concept_context_vector(sn, candidate, cfg.radius);
     apply_measure(cfg.vector_similarity, &xml, &concept)
 }
 
@@ -148,8 +147,7 @@ pub fn context_score_pair(
     second: ConceptId,
 ) -> f64 {
     let xml = xml_context_vector(tree, target, cfg.radius);
-    let concept =
-        compound_concept_context_vector(sn, first, second, cfg.radius, &RelationFilter::All);
+    let concept = compound_concept_context_vector(sn, first, second, cfg.radius);
     apply_measure(cfg.vector_similarity, &xml, &concept)
 }
 

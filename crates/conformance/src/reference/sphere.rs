@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use semnet::graph::RelationFilter;
 use semnet::{ConceptId, SemanticNetwork};
 use xmltree::{NodeId, XmlTree};
 
@@ -110,19 +109,10 @@ pub fn xml_context_vector(tree: &XmlTree, center: NodeId, radius: u32) -> RefVec
     v
 }
 
-/// The semantic sphere of a concept: concepts within `d` crossable links,
-/// excluding the center, with minimal link distances — found by
-/// breadth-first expansion over the typed adjacency.
-pub fn concept_sphere(
-    sn: &SemanticNetwork,
-    center: ConceptId,
-    d: u32,
-    filter: &RelationFilter,
-) -> Vec<(ConceptId, u32)> {
-    let allows = |kind: semnet::RelationKind| match filter {
-        RelationFilter::All => true,
-        RelationFilter::Only(kinds) => kinds.contains(&kind),
-    };
+/// The semantic sphere of a concept: concepts within `d` links of any
+/// relation kind, excluding the center, with minimal link distances —
+/// found by breadth-first expansion over the typed adjacency.
+pub fn concept_sphere(sn: &SemanticNetwork, center: ConceptId, d: u32) -> Vec<(ConceptId, u32)> {
     let mut seen: Vec<ConceptId> = vec![center];
     let mut out: Vec<(ConceptId, u32)> = Vec::new();
     let mut frontier = vec![center];
@@ -131,8 +121,8 @@ pub fn concept_sphere(
         dist += 1;
         let mut next = Vec::new();
         for node in frontier {
-            for &(kind, neighbor) in sn.edges(node) {
-                if allows(kind) && !seen.contains(&neighbor) {
+            for &(_, neighbor) in sn.edges(node) {
+                if !seen.contains(&neighbor) {
                     seen.push(neighbor);
                     out.push((neighbor, dist));
                     next.push(neighbor);
@@ -148,13 +138,8 @@ pub fn concept_sphere(
 /// same Definition 6–7 construction with rings built from semantic
 /// relations, every lemma of a concept contributing to its dimension
 /// (concept labels are pre-processed, footnote 9).
-pub fn concept_context_vector(
-    sn: &SemanticNetwork,
-    center: ConceptId,
-    radius: u32,
-    filter: &RelationFilter,
-) -> RefVector {
-    let sphere = concept_sphere(sn, center, radius, filter);
+pub fn concept_context_vector(sn: &SemanticNetwork, center: ConceptId, radius: u32) -> RefVector {
+    let sphere = concept_sphere(sn, center, radius);
     let cardinality = sphere.len() as f64 + 1.0;
     let scale = 2.0 / (cardinality + 1.0);
     let mut v = RefVector::new();
@@ -178,11 +163,10 @@ pub fn compound_concept_context_vector(
     first: ConceptId,
     second: ConceptId,
     radius: u32,
-    filter: &RelationFilter,
 ) -> RefVector {
     let mut union: Vec<(ConceptId, u32)> = vec![(first, 0), (second, 0)];
-    union.extend(concept_sphere(sn, first, radius, filter));
-    union.extend(concept_sphere(sn, second, radius, filter));
+    union.extend(concept_sphere(sn, first, radius));
+    union.extend(concept_sphere(sn, second, radius));
     union.sort_by_key(|&(c, d)| (c, d));
     union.dedup_by_key(|&mut (c, _)| c);
     let cardinality = union.len() as f64;

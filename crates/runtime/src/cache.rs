@@ -273,11 +273,9 @@ impl<K: Ord + Hash + Copy, V: Clone> Table<K, V> {
             freed += b;
         }
         // The epoch advances on every insert (inserts are rare and already
-        // write-locked), so even an unbounded table trims oldest-first
-        // under the server's watermark path; only the hit-refresh is gated
-        // on `bounded` to keep the unbounded hot path store-free. Hits
-        // after this insert stamp the new epoch, so they rank warmer than
-        // the entry stored here.
+        // write-locked); only the hit-refresh is gated on `bounded` to keep
+        // the unbounded hot path store-free. Hits after this insert stamp
+        // the new epoch, so they rank warmer than the entry stored here.
         let stamp = shard.epoch;
         shard.epoch += 1;
         shard.map.insert(
@@ -295,25 +293,6 @@ impl<K: Ord + Hash + Copy, V: Clone> Table<K, V> {
 
     fn len(&self) -> usize {
         (0..SHARDS).map(|i| self.read_shard(i).map.len()).sum()
-    }
-
-    /// Drops the coldest segment of every shard (at least one entry per
-    /// non-empty shard). One trim round for the watermark path; callers
-    /// loop until the global gauge is low enough.
-    fn trim_round(&self, counters: &Counters) -> u64 {
-        let mut total = 0;
-        for idx in 0..SHARDS {
-            let mut shard = self.write_shard(idx);
-            if shard.map.is_empty() {
-                continue;
-            }
-            // `usize::MAX` targets: nothing is "over", so only the
-            // quarter-segment minimum applies — one cold segment per round.
-            let (n, b) = evict_coldest(&mut shard, usize::MAX, usize::MAX, self.fp_ctx);
-            counters.apply(0, b, n);
-            total += n;
-        }
-        total
     }
 }
 
@@ -453,26 +432,9 @@ impl SharedCache {
     }
 
     /// Entries dropped to stay within budget (both tables, including
-    /// watermark trims and rejected oversized stores).
+    /// rejected oversized stores).
     pub fn evictions(&self) -> u64 {
         self.counters.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Evicts cold segments from both tables until the accounted bytes
-    /// drop to `target_bytes` or the cache is empty. The server's
-    /// soft/hard-watermark response; returns entries evicted. Safe (and
-    /// useful) even on an unbounded cache.
-    pub fn trim_to(&self, target_bytes: u64) -> u64 {
-        let mut evicted = 0;
-        while self.bytes() > target_bytes {
-            let round =
-                self.pairs.trim_round(&self.counters) + self.vectors.trim_round(&self.counters);
-            evicted += round;
-            if round == 0 {
-                break;
-            }
-        }
-        evicted
     }
 }
 
@@ -753,7 +715,7 @@ mod tests {
     fn vector_table_round_trip_and_counters() {
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
-        let key: VectorKey = (c, 2, semnet::graph::RelationFilter::All.fingerprint());
+        let key: VectorKey = (c, 2);
         let cache = Arc::new(SharedCache::new());
         let tally = TallyCache::new(Arc::clone(&cache));
         assert!(tally.lookup_vector(key).is_none());
@@ -771,7 +733,7 @@ mod tests {
     fn tally_cache_counts_vector_traffic_per_view() {
         let sn = mini_wordnet();
         let c = sn.by_key("star.performer").unwrap();
-        let key: VectorKey = (c, 1, semnet::graph::RelationFilter::All.fingerprint());
+        let key: VectorKey = (c, 1);
         let shared = Arc::new(SharedCache::new());
         let first = TallyCache::new(Arc::clone(&shared));
         assert!(first.lookup_vector(key).is_none());
@@ -888,9 +850,8 @@ mod tests {
         }
         assert!(cache.len() <= 4, "pair table over budget: {}", cache.len());
         assert!(cache.evictions() > 0);
-        let filter = semnet::graph::RelationFilter::All.fingerprint();
         for i in 0..64u32 {
-            let key: VectorKey = (semnet::ConceptId(i), 2, filter);
+            let key: VectorKey = (semnet::ConceptId(i), 2);
             cache.store_vector(key, Arc::new(SparseVector::new()));
         }
         assert!(cache.vectors_len() <= 4, "vector table over budget");
@@ -903,11 +864,10 @@ mod tests {
             max_bytes: 4096,
         };
         let cache = SharedCache::with_budget(budget);
-        let filter = semnet::graph::RelationFilter::All.fingerprint();
         for (i, key) in distinct_keys(40).into_iter().enumerate() {
             cache.store(key, i as f64);
             let v = SparseVector::from_ids((0..8).map(|d| (d, 1.0)));
-            cache.store_vector((key.1, i as u32, filter), Arc::new(v));
+            cache.store_vector((key.1, i as u32), Arc::new(v));
             assert!(
                 cache.bytes() <= budget.max_bytes as u64,
                 "bytes {} over budget after store {i}",
@@ -1036,34 +996,13 @@ mod tests {
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
         let big = SparseVector::from_ids((0..64).map(|d| (d, 1.0)));
-        let key: VectorKey = (c, 2, semnet::graph::RelationFilter::All.fingerprint());
+        let key: VectorKey = (c, 2);
         let before = cache.evictions();
         cache.store_vector(key, Arc::new(big));
         assert!(cache.lookup_vector(key).is_none(), "oversized entry kept");
         assert_eq!(cache.vectors_len(), 0);
         assert_eq!(cache.bytes(), 0);
         assert!(cache.evictions() > before, "rejection must be visible");
-    }
-
-    #[test]
-    fn trim_to_drains_the_cache_and_counts_evictions() {
-        let cache = SharedCache::new();
-        let filter = semnet::graph::RelationFilter::All.fingerprint();
-        for (i, key) in distinct_keys(32).into_iter().enumerate() {
-            cache.store(key, i as f64);
-            let v = SparseVector::from_ids([(i as u64, 1.0)]);
-            cache.store_vector((key.1, i as u32, filter), Arc::new(v));
-        }
-        let before_bytes = cache.bytes();
-        assert!(before_bytes > 0);
-        let evicted = cache.trim_to(before_bytes / 2);
-        assert!(cache.bytes() <= before_bytes / 2);
-        assert!(evicted > 0);
-        assert_eq!(cache.evictions(), evicted);
-        // Trim to zero empties both tables completely.
-        cache.trim_to(0);
-        assert_eq!((cache.bytes(), cache.len(), cache.vectors_len()), (0, 0, 0));
-        assert!(cache.bytes_peak() >= before_bytes);
     }
 
     #[test]
@@ -1146,13 +1085,12 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % n
         };
-        let filter = semnet::graph::RelationFilter::All.fingerprint();
         let mut past_the_quarter = 0;
         for round in 0..2_000 {
             let n = 1 + below(120) as usize;
             let entries: Vec<(VectorKey, u64, usize)> = (0..n as u32)
                 .map(|i| {
-                    let key = (semnet::ConceptId(i), 1 + below(3) as u32, filter);
+                    let key = (semnet::ConceptId(i), 1 + below(3) as u32);
                     (key, below(1 + n as u64 / 4), below(40) as usize)
                 })
                 .collect();

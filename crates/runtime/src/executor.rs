@@ -213,9 +213,9 @@ impl<'sn> BatchEngine<'sn> {
     /// shared one, so several engines — e.g. one per request
     /// configuration in a long-lived server — pool their warm state.
     /// Safe across configurations: pair scores are keyed by a weights
-    /// fingerprint and context vectors by `(concept, radius, relation
-    /// filter)`, so entries computed under one configuration are never
-    /// served to an incompatible one.
+    /// fingerprint and context vectors by `(concept, radius)`, so entries
+    /// computed under one configuration are never served to an
+    /// incompatible one.
     pub fn shared_cache(mut self, cache: Arc<SharedCache>) -> Self {
         self.cache = cache;
         self

@@ -2,9 +2,9 @@
 //! subsumer, shortest paths, and the semantic sphere neighborhoods used by
 //! context-based disambiguation (Section 3.5.2 of the paper).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use crate::model::{ConceptId, RelationKind};
+use crate::model::ConceptId;
 use crate::network::SemanticNetwork;
 
 /// All is-a ancestors of a concept with their minimal hypernym-path
@@ -103,91 +103,25 @@ pub fn subsumes(sn: &SemanticNetwork, ancestor: ConceptId, c: ConceptId) -> bool
         .any(|&(x, _)| x == ancestor)
 }
 
-/// Which relation kinds a semantic sphere traversal may cross.
+/// The semantic sphere `S_d(c)`: concepts within `d` links of `c`,
+/// excluding the center, with their distances (the semantic-network
+/// counterpart of Definition 5, used by Definition 10).
 ///
 /// The paper builds concept spheres "using the different kinds of semantic
 /// relations connecting semantic concepts (e.g., hypernyms, hyponyms,
-/// meronyms, holonyms)" — i.e. all typed links. [`RelationFilter`] makes
-/// the set explicit and lets ablations restrict it.
-#[derive(Debug, Clone)]
-pub enum RelationFilter {
-    /// Cross every relation kind.
-    All,
-    /// Cross only the listed kinds.
-    Only(Vec<RelationKind>),
-}
-
-impl RelationFilter {
-    fn allows(&self, kind: RelationKind) -> bool {
-        match self {
-            Self::All => true,
-            Self::Only(kinds) => kinds.contains(&kind),
-        }
-    }
-
-    /// A stable 64-bit fingerprint of the *crossable set* this filter
-    /// denotes, for use in memoization keys (e.g. cached concept context
-    /// vectors keyed by `(concept, radius, filter)`).
-    ///
-    /// The fingerprint is the membership bitmask itself (bit `k` set iff
-    /// `RelationKind` with discriminant `k` is crossable). Two filters
-    /// allowing the same relation kinds therefore fingerprint equal
-    /// regardless of representation — `Only([Hypernym, Hyponym])`,
-    /// `Only([Hyponym, Hypernym])` and `Only([Hypernym, Hypernym,
-    /// Hyponym])` all collapse, and an `Only` listing every kind equals
-    /// `All` — while filters denoting *different* sets can never collide:
-    /// the mask is injective for up to 64 relation kinds, unlike the
-    /// earlier FNV-1a hash of it, whose collisions (however unlikely)
-    /// would have silently served one filter's cached context vectors to
-    /// another. Cache keys live in process memory only, so the value
-    /// change is invisible to persisted state.
-    pub fn fingerprint(&self) -> u64 {
-        let mut mask = 0u64;
-        for kind in RelationKind::ALL {
-            if self.allows(kind) {
-                mask |= 1 << (kind as u64);
-            }
-        }
-        mask
-    }
-}
-
-/// The semantic ring `R_d(c)`: concepts at exactly `d` crossable links from
-/// `c` (the semantic-network counterpart of the paper's Definition 4).
-pub fn concept_ring(
-    sn: &SemanticNetwork,
-    center: ConceptId,
-    d: u32,
-    filter: &RelationFilter,
-) -> Vec<ConceptId> {
-    concept_sphere(sn, center, d, filter)
-        .into_iter()
-        .filter(|&(_, dist)| dist == d)
-        .map(|(c, _)| c)
-        .collect()
-}
-
-/// The semantic sphere `S_d(c)`: concepts within `d` crossable links of
-/// `c`, excluding the center, with their distances (the semantic-network
-/// counterpart of Definition 5, used by Definition 10).
-pub fn concept_sphere(
-    sn: &SemanticNetwork,
-    center: ConceptId,
-    d: u32,
-    filter: &RelationFilter,
-) -> Vec<(ConceptId, u32)> {
-    let mut seen: HashMap<ConceptId, u32> = HashMap::new();
+/// meronyms, holonyms)", so the walk crosses every typed link.
+pub fn concept_sphere(sn: &SemanticNetwork, center: ConceptId, d: u32) -> Vec<(ConceptId, u32)> {
+    let mut seen = HashSet::new();
     let mut queue = VecDeque::new();
-    seen.insert(center, 0);
+    seen.insert(center);
     queue.push_back((center, 0u32));
     let mut out = Vec::new();
     while let Some((node, dist)) = queue.pop_front() {
         if dist >= d {
             continue;
         }
-        for &(kind, next) in sn.edges(node) {
-            if filter.allows(kind) && !seen.contains_key(&next) {
-                seen.insert(next, dist + 1);
+        for &(_, next) in sn.edges(node) {
+            if seen.insert(next) {
                 out.push((next, dist + 1));
                 queue.push_back((next, dist + 1));
             }
@@ -200,7 +134,8 @@ pub fn concept_sphere(
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
-    use crate::model::PartOfSpeech;
+    use crate::model::{PartOfSpeech, RelationKind};
+    use std::collections::HashMap;
 
     /// entity → { person → actor → { star, clown }, object → vehicle }.
     fn taxonomy() -> SemanticNetwork {
@@ -394,7 +329,7 @@ mod tests {
     fn sphere_crosses_all_relations_by_default() {
         let sn = taxonomy();
         let star = id(&sn, "star");
-        let s1: Vec<_> = concept_sphere(&sn, star, 1, &RelationFilter::All)
+        let s1: Vec<_> = concept_sphere(&sn, star, 1)
             .into_iter()
             .map(|(c, _)| sn.concept(c).key.clone())
             .collect();
@@ -405,22 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn sphere_respects_filter() {
-        let sn = taxonomy();
-        let star = id(&sn, "star");
-        let filter = RelationFilter::Only(vec![RelationKind::Hypernym, RelationKind::Hyponym]);
-        let s1: Vec<_> = concept_sphere(&sn, star, 1, &filter)
-            .into_iter()
-            .map(|(c, _)| sn.concept(c).key.clone())
-            .collect();
-        assert_eq!(s1, ["actor"]);
-    }
-
-    #[test]
     fn sphere_distances_are_bfs_layers() {
         let sn = taxonomy();
         let star = id(&sn, "star");
-        let sphere = concept_sphere(&sn, star, 2, &RelationFilter::All);
+        let sphere = concept_sphere(&sn, star, 2);
         let dist: HashMap<_, _> = sphere
             .iter()
             .map(|&(c, d)| (sn.concept(c).key.clone(), d))
@@ -431,60 +354,6 @@ mod tests {
         assert_eq!(dist["clown"], 2);
         // entity reachable at 2 via cast.
         assert_eq!(dist["entity"], 2);
-    }
-
-    #[test]
-    fn ring_is_sphere_layer() {
-        let sn = taxonomy();
-        let star = id(&sn, "star");
-        let ring2 = concept_ring(&sn, star, 2, &RelationFilter::All);
-        let sphere = concept_sphere(&sn, star, 2, &RelationFilter::All);
-        let expected: Vec<_> = sphere
-            .into_iter()
-            .filter(|&(_, d)| d == 2)
-            .map(|(c, _)| c)
-            .collect();
-        assert_eq!(ring2, expected);
-    }
-
-    #[test]
-    fn filter_fingerprint_is_representation_independent() {
-        let a = RelationFilter::Only(vec![RelationKind::Hypernym, RelationKind::Hyponym]);
-        let b = RelationFilter::Only(vec![
-            RelationKind::Hyponym,
-            RelationKind::Hypernym,
-            RelationKind::Hypernym,
-        ]);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let everything = RelationFilter::Only(RelationKind::ALL.to_vec());
-        assert_eq!(everything.fingerprint(), RelationFilter::All.fingerprint());
-        assert_ne!(a.fingerprint(), RelationFilter::All.fingerprint());
-        assert_ne!(
-            RelationFilter::Only(vec![]).fingerprint(),
-            RelationFilter::All.fingerprint()
-        );
-    }
-
-    #[test]
-    fn filter_fingerprint_is_injective_over_all_subsets() {
-        // Regression for the vector-cache key: distinct crossable sets must
-        // produce distinct fingerprints (the FNV hash used before PR 5 had
-        // no such guarantee). Enumerate every subset of RelationKind::ALL.
-        let kinds = RelationKind::ALL;
-        let mut seen = std::collections::HashMap::new();
-        for mask in 0u32..(1 << kinds.len()) {
-            let subset: Vec<RelationKind> = kinds
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &k)| k)
-                .collect();
-            let fp = RelationFilter::Only(subset).fingerprint();
-            if let Some(prior) = seen.insert(fp, mask) {
-                panic!("fingerprint collision: subsets {prior:#b} and {mask:#b} → {fp:#x}");
-            }
-        }
-        assert_eq!(seen.len(), 1 << kinds.len());
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use xsdf_semnet::graph::{
     ancestors, common_subsumer, concept_sphere, lowest_common_subsumer, taxonomy_path_length,
-    RelationFilter,
 };
 use xsdf_semnet::{mini_wordnet, ConceptId, NetworkBuilder, PartOfSpeech, RelationKind};
 
@@ -257,8 +256,8 @@ proptest! {
     #[test]
     fn concept_sphere_monotone(sn in arb_taxonomy(), r in 1u32..4) {
         let center = ConceptId(0);
-        let small = concept_sphere(&sn, center, r, &RelationFilter::All);
-        let big = concept_sphere(&sn, center, r + 1, &RelationFilter::All);
+        let small = concept_sphere(&sn, center, r);
+        let big = concept_sphere(&sn, center, r + 1);
         prop_assert!(big.len() >= small.len());
         prop_assert!(small.iter().all(|&(c, _)| c != center));
         // Distances respect the radius.

@@ -15,14 +15,14 @@
 //! carries a [`WeightsFingerprint`] — without it, two measures with
 //! different weights sharing one cache (the pattern `combined.rs`
 //! explicitly advertises) would silently serve each other's scores.
-//! Concept context vectors depend on the sphere radius and relation filter,
-//! so [`VectorKey`] is `(concept, radius, filter fingerprint)`.
+//! Concept context vectors depend on the sphere radius, so [`VectorKey`] is
+//! `(concept, radius)`.
 //!
 //! ## Key hash
 //!
 //! Pair lookups are XSDF's inner loop, so every cache map hashes its keys
 //! with [`KeyHasher`]: one 64×64→128-bit folded multiply per key word
-//! (three per [`PairKey`] or [`VectorKey`]) instead of SipHash.
+//! (three per [`PairKey`], two per [`VectorKey`]) instead of SipHash.
 //! [`KeyHashBuilder::default`] seeds it once per process, so a document
 //! cannot pick colliding keys offline; [`KeyHashBuilder::UNSEEDED`] hashes
 //! a key the same way in every process, for placement that must repeat
@@ -49,13 +49,11 @@ pub struct WeightsFingerprint(pub u64);
 /// before lookup, making `sim(a, b)` and `sim(b, a)` one entry).
 pub type PairKey = (WeightsFingerprint, ConceptId, ConceptId);
 
-/// A concept-context-vector cache key: `(concept, sphere radius, relation
-/// filter fingerprint)` — see
-/// [`RelationFilter::fingerprint`](semnet::graph::RelationFilter::fingerprint).
-/// The vector of a concept is a pure function of these three inputs (plus
-/// the immutable network), so cached vectors are shareable across workers
-/// and runs.
-pub type VectorKey = (ConceptId, u32, u64);
+/// A concept-context-vector cache key: `(concept, sphere radius)`. The
+/// vector of a concept is a pure function of these two inputs (plus the
+/// immutable network), so cached vectors are shareable across workers and
+/// runs.
+pub type VectorKey = (ConceptId, u32);
 
 /// An odd 64-bit constant (the golden-ratio fraction); every key word is
 /// multiplied by it.
@@ -316,16 +314,17 @@ mod tests {
         let cache = LocalCache::new();
         let sn = mini_wordnet();
         let c = sn.by_key("cast.actors").unwrap();
-        let k: VectorKey = (c, 2, 0xabcd);
+        let k: VectorKey = (c, 2);
         assert!(cache.lookup_vector(k).is_none());
         assert_eq!(cache.vectors_len(), 0);
         cache.store_vector(k, Arc::new(SparseVector::from_ids([(7, 1.0)])));
         let got = cache.lookup_vector(k).expect("stored vector");
         assert_eq!(got.get(7), 1.0);
         assert_eq!(cache.vectors_len(), 1);
-        // Different radius / filter fingerprint are different entries.
-        assert!(cache.lookup_vector((c, 3, 0xabcd)).is_none());
-        assert!(cache.lookup_vector((c, 2, 0xabce)).is_none());
+        // A different radius or concept is a different entry.
+        assert!(cache.lookup_vector((c, 3)).is_none());
+        let other = sn.by_key("star.performer").unwrap();
+        assert!(cache.lookup_vector((other, 2)).is_none());
     }
 
     // The Arc-of-LocalCache below is deliberately single-threaded: the
@@ -352,7 +351,7 @@ mod tests {
         // trait's no-op vector defaults.
         let sn = mini_wordnet();
         let c = sn.by_key("film.movie").unwrap();
-        let k: VectorKey = (c, 1, 7);
+        let k: VectorKey = (c, 1);
         let shared = Arc::new(LocalCache::new());
         shared.store_vector(k, Arc::new(SparseVector::new()));
         assert_eq!(shared.vectors_len(), 1);

@@ -14,6 +14,7 @@
 //! xsdf serve        [--addr 127.0.0.1:8737] [--threads N] [--queue N] ...
 //! ```
 
+use std::io::Read;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -96,8 +97,8 @@ GEN-CORPUS OPTIONS:
 
 RESOURCE OPTIONS (disambiguate + batch + serve; --max-* also ambiguity):
     --max-bytes <N>       reject documents larger than N bytes
-                          (checked against the on-disk size before the
-                          file is ever buffered)
+                          (a file's on-disk size is checked before it is
+                          buffered; a pipe is read at most 1 byte past N)
     --max-nodes <N>       reject documents with more than N tree nodes
     --max-depth <N>       reject element nesting deeper than N; N may only
                           lower the 256-level ceiling      [default: 256]
@@ -120,8 +121,8 @@ BATCH OPTIONS:
     --slow-ms <N>         report documents slower than N ms on stderr with their
                           stage breakdown and most-missed cache concepts
     --annotate            print each document's annotated XML to stdout
-    --keep-going          process every document despite failures [default]
     --fail-fast           stop scheduling documents after the first failure
+                          (by default every document is processed)
 
 CACHE OPTIONS (batch + serve):
     --cache-entries <N>   cap EACH similarity-cache table (pair scores,
@@ -140,12 +141,6 @@ SERVE OPTIONS (plus the shared pipeline + resource + cache options above):
     --max-connections <N> connection cap (excess gets 503)       [default: 64]
     --slow-ms <N>         stream slow-request reports to stderr, batch format
     --metrics <file>      write the final metrics snapshot on shutdown
-    --mem-soft <N>        soft watermark on accounted cache bytes: trim the
-                          coldest cache segments, report degraded health
-                          (0 = off)                              [default: 0]
-    --mem-hard <N>        hard watermark: shed /disambiguate with 503 +
-                          Retry-After until pressure clears (0 = off)
-                                                                 [default: 0]
     Endpoints: POST /disambiguate?radius=&process=&measure=&threshold=&structure=
                GET /metrics | GET /healthz | POST /shutdown
     Shutdown:  POST /shutdown or Ctrl-C drains (in-flight requests finish);
@@ -159,13 +154,7 @@ EXIT CODES (batch):
     1  all documents failed, or the invocation itself was invalid";
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &[
-    "--structure-only",
-    "--quiet",
-    "--annotate",
-    "--keep-going",
-    "--fail-fast",
-];
+const SWITCHES: &[&str] = &["--structure-only", "--quiet", "--annotate", "--fail-fast"];
 
 /// Flags that take one value. `--shard-out` is internal: the sharded
 /// batch driver passes it to its child processes.
@@ -180,8 +169,6 @@ const VALUED: &[&str] = &[
     "--max-connections",
     "--max-depth",
     "--max-nodes",
-    "--mem-hard",
-    "--mem-soft",
     "--metrics",
     "--network",
     "--out",
@@ -367,26 +354,35 @@ enum IngestError {
 }
 
 /// Reads one XML input with the `--max-bytes` ceiling enforced *before*
-/// buffering: the on-disk length is checked against the limit first, so
-/// an oversized input is rejected as a typed `LimitExceeded` without
-/// `read` ever materializing it. Invalid UTF-8 maps to a typed parse
-/// failure (with the line/column of the first bad byte) rather than an
-/// opaque io error.
+/// buffering: a regular file's on-disk length is checked against the
+/// limit first, so an oversized file is rejected as a typed
+/// `LimitExceeded` without `read` ever materializing it. A pipe or other
+/// non-regular input reports no length, so at most one byte past the
+/// limit is read from it; that byte is the first offending one. Invalid
+/// UTF-8 maps to a typed parse failure (with the line/column of the first
+/// bad byte) rather than an opaque io error.
 fn ingest_doc(path: &str, limits: &ResourceLimits) -> Result<String, IngestError> {
-    if let Some(max) = limits.max_bytes {
-        let len = std::fs::metadata(path)
-            .map_err(|e| IngestError::Io(format!("cannot read {path}: {e}")))?
-            .len();
-        if len > max as u64 {
-            return Err(IngestError::Doc(XsdfError::LimitExceeded {
-                which: LimitKind::Bytes,
-                limit: max as u64,
-                actual: len,
-            }));
-        }
+    let io_error = |e: std::io::Error| IngestError::Io(format!("cannot read {path}: {e}"));
+    let file = std::fs::File::open(path).map_err(io_error)?;
+    let len = file.metadata().map_err(io_error)?.len();
+    let max = limits.max_bytes.map_or(u64::MAX, |max| max as u64);
+    let too_big = |actual| {
+        IngestError::Doc(XsdfError::LimitExceeded {
+            which: LimitKind::Bytes,
+            limit: max,
+            actual,
+        })
+    };
+    if len > max {
+        return Err(too_big(len));
     }
-    let bytes =
-        std::fs::read(path).map_err(|e| IngestError::Io(format!("cannot read {path}: {e}")))?;
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.take(max.saturating_add(1))
+        .read_to_end(&mut bytes)
+        .map_err(io_error)?;
+    if bytes.len() as u64 > max {
+        return Err(too_big(bytes.len() as u64));
+    }
     let xml = runtime::utf8_document(&bytes).map_err(IngestError::Doc)?;
     Ok(xml.to_owned())
 }
@@ -453,9 +449,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     let files = flags.positional();
     if files.is_empty() {
         return Err("missing input files (see `xsdf help`)".into());
-    }
-    if flags.has("--keep-going") && flags.has("--fail-fast") {
-        return Err("--keep-going and --fail-fast are mutually exclusive".into());
     }
     let network = load_network(&flags)?;
     let config = build_config(&flags)?;
@@ -992,12 +985,6 @@ fn build_server_config(flags: &Flags) -> Result<ServerConfig, String> {
     }
     config.slow = flags.parsed("--slow-ms")?.map(Duration::from_millis);
     config.cache_budget = build_cache_budget(flags)?;
-    if let Some(soft) = flags.parsed("--mem-soft")? {
-        config.mem_soft = soft;
-    }
-    if let Some(hard) = flags.parsed("--mem-hard")? {
-        config.mem_hard = hard;
-    }
     Ok(config)
 }
 

@@ -270,15 +270,7 @@ impl Conn {
         if header_value(&headers, "transfer-encoding").is_some() {
             return Err(HttpError::UnsupportedTransfer);
         }
-        let content_length = match header_value(&headers, "content-length") {
-            Some(v) => Some(
-                v.trim()
-                    .parse::<usize>()
-                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {v:?}")))?,
-            ),
-            None => None,
-        };
-        let body_len = match content_length {
+        let body_len = match content_length(&headers)? {
             Some(n) => n,
             // Body-bearing methods must declare a length; the rest have
             // no body by convention.
@@ -479,6 +471,27 @@ fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a s
         .iter()
         .find(|(k, _)| k == name)
         .map(|(_, v)| v.as_str())
+}
+
+/// The declared `Content-Length`, if any. RFC 9112 §6.3 makes anything
+/// but one header of one or more ASCII digits a framing error: a sign
+/// (`+7`) or a second header (`7` then `70`) would let this server and a
+/// proxy in front of it split the stream into different requests.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut values = headers.iter().filter(|(k, _)| k == "content-length");
+    let Some((_, v)) = values.next() else {
+        return Ok(None);
+    };
+    if values.next().is_some() {
+        return Err(HttpError::Malformed(
+            "more than one Content-Length header".into(),
+        ));
+    }
+    let bad = || HttpError::Malformed(format!("bad Content-Length {v:?}"));
+    if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad());
+    }
+    v.parse().map(Some).map_err(|_| bad())
 }
 
 /// Splits a request target into a decoded path and query pairs.

@@ -36,29 +36,16 @@
 //! `Retry-After`. When the last connection thread exits, the server
 //! flushes a final metrics snapshot and [`Server::run`] returns.
 //!
-//! # Memory watermarks
+//! # Memory bound
 //!
-//! The shared cache is the only state that grows with traffic, so memory
-//! pressure is governed by watermarking its accounted bytes
-//! ([`SharedCache::bytes`]):
-//!
-//! ```text
-//!                 bytes >= soft: trim cold segments, degraded = true
-//! Normal <-----> Degraded        (degraded clears at bytes <= soft/2)
-//!                 bytes >= hard: shed /disambiguate with 503 + Retry-After,
-//!                                trim until below the soft watermark
-//! ```
-//!
-//! The soft watermark degrades quality-of-service (colder cache → slower
-//! requests) but keeps serving; `/healthz` reports `degraded: true` so
-//! load balancers can steer traffic away. The hard watermark sheds the
-//! offending admission *and* trims, so pressure clears by the very next
-//! request — shedding is a transient, not a death spiral. Both default
-//! to off (`0`); they are enforced at admission time on the same path as
-//! the queue-full and draining rejections.
+//! The shared cache is the only state that grows with traffic, so
+//! [`ServerConfig::cache_budget`] is the server's one memory bound. The
+//! cache enforces it on every insert, evicting the coldest entries of the
+//! shard it writes, so its accounted bytes ([`SharedCache::bytes`]) never
+//! exceed the budget and admission needs no memory check of its own.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -113,16 +100,6 @@ pub struct ServerConfig {
     /// Capacity budget for the shared similarity/vector cache
     /// (`--cache-entries` / `--cache-bytes`; default unbounded).
     pub cache_budget: CacheBudget,
-    /// Soft memory watermark in cache bytes: at or above it the server
-    /// trims cold cache segments and reports `degraded: true` in
-    /// `/healthz` (cleared once bytes fall to half the watermark).
-    /// `0` = off.
-    pub mem_soft: u64,
-    /// Hard memory watermark in cache bytes: at or above it new
-    /// `/disambiguate` admissions are shed with 503 + `Retry-After`
-    /// while the cache is trimmed back below the soft watermark.
-    /// `0` = off.
-    pub mem_hard: u64,
 }
 
 impl Default for ServerConfig {
@@ -140,8 +117,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(10),
             quantum: Duration::from_millis(100),
             cache_budget: CacheBudget::unbounded(),
-            mem_soft: 0,
-            mem_hard: 0,
         }
     }
 }
@@ -296,8 +271,6 @@ pub struct Server<'sn> {
     started: Instant,
     stats: Mutex<ServerStats>,
     cache: Arc<SharedCache>,
-    /// Sticky soft-watermark flag (see the module-level state machine).
-    degraded: AtomicBool,
     conns_active: AtomicUsize,
     conns_total: AtomicU64,
     req_seq: AtomicU64,
@@ -325,7 +298,6 @@ impl<'sn> Server<'sn> {
             started: Instant::now(),
             stats: Mutex::new(ServerStats::default()),
             cache: Arc::new(SharedCache::with_budget(config.cache_budget)),
-            degraded: AtomicBool::new(false),
             conns_active: AtomicUsize::new(0),
             conns_total: AtomicU64::new(0),
             req_seq: AtomicU64::new(0),
@@ -358,59 +330,6 @@ impl<'sn> Server<'sn> {
 
     fn draining(&self) -> bool {
         self.state.load(Ordering::SeqCst) != RUNNING
-    }
-
-    /// Updates the sticky degraded flag from the current cache footprint:
-    /// set at or above the soft watermark, cleared once bytes fall to
-    /// half of it (hysteresis, so the flag doesn't flap around the
-    /// threshold). Called from every pressure check and from `/healthz`,
-    /// so probes see fresh state even on an idle server.
-    fn refresh_degraded(&self, bytes: u64) -> bool {
-        let soft = self.config.mem_soft;
-        if soft == 0 {
-            return false;
-        }
-        if bytes >= soft {
-            self.degraded.store(true, Ordering::Relaxed);
-        } else if bytes <= soft / 2 {
-            self.degraded.store(false, Ordering::Relaxed);
-        }
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// The watermark check on the `/disambiguate` admission path.
-    /// Returns a 503 shed response when the hard watermark is breached;
-    /// otherwise trims (soft watermark) as needed and admits. Trimming
-    /// happens on the rejected/admitted request's own thread — the
-    /// server has no background janitor to die or fall behind.
-    fn apply_pressure(&self) -> Option<Response> {
-        let (soft, hard) = (self.config.mem_soft, self.config.mem_hard);
-        if soft == 0 && hard == 0 {
-            return None;
-        }
-        let bytes = self.cache.bytes();
-        self.refresh_degraded(bytes);
-        // Trim target: just below the soft watermark (or half the hard
-        // one if no soft is configured), so one trim clears hard
-        // pressure but leaves the warmest, still-useful entries.
-        let target = if soft > 0 {
-            soft.saturating_mul(3) / 4
-        } else {
-            hard / 2
-        };
-        if hard > 0 && bytes >= hard {
-            self.degraded.store(true, Ordering::Relaxed);
-            self.cache.trim_to(target);
-            let mut stats = self.stats.lock().unwrap();
-            stats.rejected_pressure += 1;
-            stats.cache_trims += 1;
-            return Some(overloaded_response(503, "pressure"));
-        }
-        if soft > 0 && bytes >= soft {
-            self.cache.trim_to(target);
-            self.stats.lock().unwrap().cache_trims += 1;
-        }
-        None
     }
 
     /// Serves until drained: accepts connections, spawns one scoped
@@ -538,25 +457,15 @@ impl<'sn> Server<'sn> {
 
     /// Liveness *and* readiness in one probe: `status` summarizes for
     /// humans, `ready` is what a load balancer should gate on (false
-    /// while draining or shedding at the hard watermark), and `degraded`
-    /// flags soft-watermark pressure — up, but slower than usual.
+    /// while draining).
     fn handle_healthz(&self) -> Response {
         let started = Instant::now();
         let bytes = self.cache.bytes();
-        let degraded = self.refresh_degraded(bytes);
-        let shedding = self.config.mem_hard > 0 && bytes >= self.config.mem_hard;
-        let draining = self.draining();
-        let ready = !draining && !shedding;
-        let state = if draining {
-            "draining"
-        } else if degraded || shedding {
-            "degraded"
-        } else {
-            "ok"
-        };
+        let ready = !self.draining();
+        let state = if ready { "ok" } else { "draining" };
         let uptime_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let body = format!(
-            "{{\"status\":\"{state}\",\"ready\":{ready},\"degraded\":{degraded},\
+            "{{\"status\":\"{state}\",\"ready\":{ready},\
              \"uptime_ms\":{uptime_ms:?},\"cache_bytes\":{bytes}}}\n"
         );
         self.stats
@@ -616,18 +525,6 @@ impl<'sn> Server<'sn> {
                 "workers_busy".to_string(),
                 self.admission.busy().to_string(),
             ),
-            (
-                "degraded".to_string(),
-                self.degraded.load(Ordering::Relaxed).to_string(),
-            ),
-            (
-                "mem_soft_bytes".to_string(),
-                self.config.mem_soft.to_string(),
-            ),
-            (
-                "mem_hard_bytes".to_string(),
-                self.config.mem_hard.to_string(),
-            ),
         ];
         snapshot.to_json_extended(&stats.extras(uptime, &gauges))
     }
@@ -642,9 +539,6 @@ impl<'sn> Server<'sn> {
         if self.draining() {
             self.stats.lock().unwrap().rejected_draining += 1;
             return overloaded_response(503, "draining");
-        }
-        if let Some(shed) = self.apply_pressure() {
-            return shed;
         }
         let config = match request_config(&self.config.base, request) {
             Ok(config) => config,
@@ -743,7 +637,6 @@ fn overloaded_response(status: u16, kind: &str) -> Response {
     let message = match kind {
         "overloaded" => "admission queue full; retry later",
         "draining" => "server is draining; retry against a fresh instance",
-        "pressure" => "shedding under memory pressure; retry shortly",
         _ => "over connection capacity; retry later",
     };
     Response::json(status, error_body(kind, message))

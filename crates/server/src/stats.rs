@@ -39,11 +39,6 @@ pub struct ServerStats {
     pub rejected_draining: u64,
     /// Connections turned away with 503 at the connection cap.
     pub rejected_over_capacity: u64,
-    /// `/disambiguate` requests shed with 503 at the hard memory
-    /// watermark.
-    pub rejected_pressure: u64,
-    /// Watermark-triggered cache trims (soft or hard).
-    pub cache_trims: u64,
 }
 
 impl ServerStats {
@@ -65,8 +60,6 @@ impl ServerStats {
             ("rejected_queue_full", self.rejected_queue_full),
             ("rejected_draining", self.rejected_draining),
             ("rejected_over_capacity", self.rejected_over_capacity),
-            ("rejected_pressure", self.rejected_pressure),
-            ("cache_trims", self.cache_trims),
         ] {
             extras.push((key.into(), count.to_string()));
         }
@@ -171,8 +164,6 @@ mod tests {
             "rejected_queue_full",
             "rejected_draining",
             "rejected_over_capacity",
-            "rejected_pressure",
-            "cache_trims",
             "cache_evictions",
             "cache_bytes",
             "cache_bytes_peak",

@@ -547,19 +547,6 @@ fn ambiguity_applies_max_nodes() {
 }
 
 #[test]
-fn batch_rejects_contradictory_failure_modes() {
-    let doc = write_temp("contradictory.xml", "<a/>");
-    let output = xsdf()
-        .arg("batch")
-        .arg(&doc)
-        .args(["--keep-going", "--fail-fast"])
-        .output()
-        .unwrap();
-    assert_eq!(output.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("mutually exclusive"));
-}
-
-#[test]
 fn unknown_command_fails_with_usage() {
     for command in ["frobnicate", "bench-serve"] {
         let output = xsdf().arg(command).output().unwrap();
@@ -576,12 +563,18 @@ fn unknown_command_fails_with_usage() {
 #[test]
 fn unknown_flags_are_usage_errors() {
     let doc = write_temp("unknown-flag.xml", "<cast><star>Kelly</star></cast>");
+    // The serve rows name a missing network, so a serve that accepted the
+    // flag would exit on it instead of listening.
+    let no_network = "no-such-network.txt";
     for (command, args) in [
         ("batch", &["--prune", "exact"][..]),
         ("batch", &["--max-sense-pairs", "5"]),
         ("disambiguate", &["--radus", "2"]),
         ("batch", &["--soak"]),
         ("batch", &["--connections", "2"]),
+        ("serve", &["--mem-soft", "1", "--network", no_network]),
+        ("serve", &["--mem-hard", "1", "--network", no_network]),
+        ("batch", &["--keep-going"]),
     ] {
         let flag = args[0];
         let output = xsdf().arg(command).arg(&doc).args(args).output().unwrap();
@@ -759,6 +752,46 @@ fn batch_max_bytes_rejects_from_file_metadata() {
     // check takes from fs::metadata before the file is read.
     assert!(stderr.contains(&format!("exceeded ({size})")), "{stderr}");
     assert!(stderr.contains("1 of 2 document(s) failed"), "{stderr}");
+}
+
+/// A pipe has no on-disk size to check, so `--max-bytes` bounds the read
+/// itself: the child stops one byte past the limit and exits, and the
+/// writer sees its end of the pipe close long before 8 MiB are through.
+#[test]
+fn max_bytes_bounds_a_piped_input() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let mut child = xsdf()
+        .args(["disambiguate", "/dev/stdin", "--max-bytes", "64", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let chunk = vec![b'x'; 64 << 10];
+    let mut written = 0;
+    let mut refused = None;
+    while written < 8 << 20 {
+        match stdin.write_all(&chunk) {
+            Ok(()) => written += chunk.len(),
+            Err(e) => {
+                refused = Some(e.kind());
+                break;
+            }
+        }
+    }
+    drop(stdin);
+    let output = child.wait_with_output().unwrap();
+    assert_eq!(
+        refused,
+        Some(std::io::ErrorKind::BrokenPipe),
+        "the child took all {written} bytes"
+    );
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("[limit]"), "{stderr}");
 }
 
 #[test]

@@ -102,89 +102,12 @@ fn healthz_reports_readiness_and_memory_state() {
         let health = request(addr, "GET", "/healthz", b"");
         assert_eq!(health.status, 200);
         let body = body_str(&health);
-        assert!(body.contains("\"status\":\"ok\""), "{body}");
-        assert!(body.contains("\"ready\":true"), "{body}");
-        assert!(body.contains("\"degraded\":false"), "{body}");
-        assert!(body.contains("\"uptime_ms\":"), "{body}");
-        assert!(body.contains("\"cache_bytes\":"), "{body}");
-    });
-}
-
-#[test]
-fn hard_watermark_sheds_with_503_then_recovers_after_the_trim() {
-    // A 1-byte hard watermark: the first document populates the cache
-    // past it, so the next request is shed (503 + Retry-After) and the
-    // shed itself trims the cache back under pressure — after which
-    // admissions resume. No restart, no janitor thread.
-    let config = ServerConfig {
-        mem_hard: 1,
-        ..ServerConfig::default()
-    };
-    with_server(config, |addr| {
-        let first = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
-        assert_eq!(first.status, 200, "empty cache is under any watermark");
-
-        let health = request(addr, "GET", "/healthz", b"");
-        let body = body_str(&health);
-        assert!(body.contains("\"status\":\"degraded\""), "{body}");
-        assert!(body.contains("\"ready\":false"), "{body}");
-
-        let shed = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
-        assert_eq!(shed.status, 503, "{}", body_str(&shed));
         assert!(
-            shed.header("retry-after").is_some(),
-            "shed sets Retry-After"
+            body.starts_with("{\"status\":\"ok\",\"ready\":true,\"uptime_ms\":"),
+            "{body}"
         );
-        assert!(body_str(&shed).contains("pressure"));
-
-        // The shed trimmed the cache to the target (hard/2 = 0 bytes), so
-        // the server is ready again and the next request is admitted.
-        let recovered = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
-        assert_eq!(recovered.status, 200, "{}", body_str(&recovered));
-
-        let metrics = body_str(&request(addr, "GET", "/metrics", b""));
-        for key in [
-            "\"rejected_pressure\": 1",
-            "\"cache_trims\": 1",
-            "\"mem_hard_bytes\": 1",
-            "\"cache_evictions\":",
-            "\"cache_bytes\":",
-            "\"cache_bytes_peak\":",
-            "\"degraded\":",
-        ] {
-            assert!(metrics.contains(key), "metrics missing {key}: {metrics}");
-        }
-    });
-}
-
-#[test]
-fn soft_watermark_degrades_health_but_keeps_admitting() {
-    let config = ServerConfig {
-        mem_soft: 1,
-        ..ServerConfig::default()
-    };
-    with_server(config, |addr| {
-        let first = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
-        assert_eq!(first.status, 200);
-
-        // Over the soft watermark: degraded, but still ready and serving.
-        let second = request(addr, "POST", "/disambiguate", HEALTHY.as_bytes());
-        assert_eq!(second.status, 200, "soft pressure never sheds");
-
-        let health = body_str(&request(addr, "GET", "/healthz", b""));
-        assert!(health.contains("\"status\":\"degraded\""), "{health}");
-        assert!(health.contains("\"ready\":true"), "{health}");
-        assert!(health.contains("\"degraded\":true"), "{health}");
-
-        let metrics = body_str(&request(addr, "GET", "/metrics", b""));
-        assert!(
-            metrics.contains("\"rejected_pressure\": 0"),
-            "soft watermark sheds nothing: {metrics}"
-        );
-        assert!(
-            !metrics.contains("\"cache_trims\": 0"),
-            "admissions over the soft watermark must have trimmed: {metrics}"
-        );
+        assert!(body.contains(",\"cache_bytes\":0}"), "{body}");
+        assert!(!body.contains("degraded"), "{body}");
     });
 }
 
@@ -208,15 +131,29 @@ fn disambiguate_returns_annotated_xml() {
 
 #[test]
 fn malformed_http_gets_400_and_close() {
+    // RFC 9112 §6.3: a signed `Content-Length` and two of them are framing
+    // errors, not a 7-byte body followed by a pipelined request.
+    let requests: [&[u8]; 3] = [
+        b"THIS IS NOT HTTP\r\n\r\n",
+        b"POST /disambiguate HTTP/1.1\r\nContent-Length: +7\r\n\r\n<cast/>",
+        b"POST /disambiguate HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 70\r\n\r\n<cast/>",
+    ];
     with_server(ServerConfig::default(), |addr| {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"THIS IS NOT HTTP\r\n\r\n")
-            .expect("write garbage");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read until close");
-        assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
-        assert!(raw.contains("\"kind\":\"bad_request\""), "{raw}");
+        for raw_request in requests {
+            let shown = String::from_utf8_lossy(raw_request);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // A kept-alive connection would leave the read below waiting.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(raw_request).expect("write request");
+            let mut raw = String::new();
+            stream
+                .read_to_string(&mut raw)
+                .unwrap_or_else(|e| panic!("{shown:?}: no close after the response: {e}"));
+            assert!(raw.starts_with("HTTP/1.1 400 "), "{shown:?}: {raw}");
+            assert!(raw.contains("\"kind\":\"bad_request\""), "{shown:?}: {raw}");
+        }
     });
 }
 

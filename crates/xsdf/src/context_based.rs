@@ -10,7 +10,6 @@
 //! Compound targets use the union sphere `S_d(s_p) ∪ S_d(s_q)`
 //! (Equation 12).
 
-use semnet::graph::RelationFilter;
 use semnet::{ConceptId, SemanticNetwork};
 use semsim::{SimilarityCache, SparseVector};
 use xmltree::{NodeId, XmlTree};
@@ -26,7 +25,6 @@ use crate::sphere::{
 pub struct ContextVectorScorer {
     xml_vector: SparseVector,
     radius: u32,
-    filter: RelationFilter,
     measure: VectorSimilarity,
 }
 
@@ -45,7 +43,6 @@ impl ContextVectorScorer {
         Self {
             xml_vector,
             radius,
-            filter: RelationFilter::All,
             measure: VectorSimilarity::Cosine,
         }
     }
@@ -56,12 +53,6 @@ impl ContextVectorScorer {
         self
     }
 
-    /// Restricts which semantic relations the network-side sphere crosses.
-    pub fn with_filter(mut self, filter: RelationFilter) -> Self {
-        self.filter = filter;
-        self
-    }
-
     /// The target's XML context vector.
     pub fn xml_vector(&self) -> &SparseVector {
         &self.xml_vector
@@ -69,7 +60,7 @@ impl ContextVectorScorer {
 
     /// `Context_Score(s_p)` of Definition 10.
     pub fn score_single(&self, sn: &SemanticNetwork, candidate: ConceptId) -> f64 {
-        let concept_vector = concept_context_vector(sn, candidate, self.radius, &self.filter);
+        let concept_vector = concept_context_vector(sn, candidate, self.radius);
         self.measure.apply(&self.xml_vector, &concept_vector)
     }
 
@@ -85,15 +76,13 @@ impl ContextVectorScorer {
         candidate: ConceptId,
         cache: &C,
     ) -> f64 {
-        let concept_vector =
-            concept_context_vector_cached(sn, candidate, self.radius, &self.filter, cache);
+        let concept_vector = concept_context_vector_cached(sn, candidate, self.radius, cache);
         self.measure.apply(&self.xml_vector, &concept_vector)
     }
 
     /// `Context_Score((s_p, s_q))` of Equation 12.
     pub fn score_pair(&self, sn: &SemanticNetwork, first: ConceptId, second: ConceptId) -> f64 {
-        let concept_vector =
-            compound_concept_context_vector(sn, first, second, self.radius, &self.filter);
+        let concept_vector = compound_concept_context_vector(sn, first, second, self.radius);
         self.measure.apply(&self.xml_vector, &concept_vector)
     }
 }
@@ -164,25 +153,6 @@ mod tests {
         let scorer = ContextVectorScorer::build(sn, &t, find(&t, "star picture"), 2);
         let s = scorer.score_pair(sn, id("star.performer"), id("film.movie"));
         assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
-    fn relation_filter_restricts_network_sphere() {
-        let t = tree("<films><picture><cast><star/></cast></picture></films>");
-        let sn = mini_wordnet();
-        let all = ContextVectorScorer::build(sn, &t, find(&t, "cast"), 2);
-        let taxo_only = ContextVectorScorer::build(sn, &t, find(&t, "cast"), 2).with_filter(
-            RelationFilter::Only(vec![
-                semnet::RelationKind::Hypernym,
-                semnet::RelationKind::Hyponym,
-            ]),
-        );
-        // Both produce valid scores; they may differ because the spheres
-        // differ.
-        let a = all.score_single(sn, id("cast.actors"));
-        let b = taxo_only.score_single(sn, id("cast.actors"));
-        assert!((0.0..=1.0).contains(&a));
-        assert!((0.0..=1.0).contains(&b));
     }
 
     #[test]

@@ -833,7 +833,6 @@ mod tests {
         use crate::sphere::{
             compound_concept_context_vector, concept_context_vector, xml_context_vector_weighted,
         };
-        use semnet::graph::RelationFilter;
         use xmltree::distance::DistancePolicy;
 
         let policy = DistancePolicy::Directional { up: 0.3, down: 1.0 };
@@ -853,11 +852,9 @@ mod tests {
             let mut best: Option<(SenseChoice, f64)> = None;
             for (choice, _) in candidates.choices() {
                 let v = match choice {
-                    SenseChoice::Single(s) => {
-                        concept_context_vector(sn, s, cfg.radius, &RelationFilter::All)
-                    }
+                    SenseChoice::Single(s) => concept_context_vector(sn, s, cfg.radius),
                     SenseChoice::Pair(a, b) => {
-                        compound_concept_context_vector(sn, a, b, cfg.radius, &RelationFilter::All)
+                        compound_concept_context_vector(sn, a, b, cfg.radius)
                     }
                 };
                 let score = VectorSimilarity::Cosine.apply(xml.vector(), &v);

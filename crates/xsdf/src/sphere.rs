@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use semnet::graph::{concept_sphere, RelationFilter};
+use semnet::graph::concept_sphere;
 use semnet::{ConceptId, LemmaTable, SemanticNetwork};
 use semsim::{SimilarityCache, SparseVector, VectorKey};
 use xmltree::distance::{sphere, weighted_sphere, DistancePolicy, SphereWalk};
@@ -322,10 +322,9 @@ pub fn concept_context_vector(
     sn: &SemanticNetwork,
     center: ConceptId,
     radius: u32,
-    filter: &RelationFilter,
 ) -> SparseVector {
     let lemmas = sn.lemma_table();
-    let concepts = concept_sphere(sn, center, radius, filter);
+    let concepts = concept_sphere(sn, center, radius);
     let cardinality = concepts.len() as f64 + 1.0;
     let scale = 2.0 / (cardinality + 1.0);
     let mut pairs = Vec::new();
@@ -338,10 +337,9 @@ pub fn concept_context_vector(
 
 /// [`concept_context_vector`] memoized through a [`SimilarityCache`]'s
 /// vector table: the vector of a candidate sense is a pure function of
-/// `(concept, radius, filter)` over the immutable network, so it is cached
-/// under that key ([`VectorKey`], with the filter reduced to its
-/// [`RelationFilter::fingerprint`]) and shared across targets, documents,
-/// workers and runs.
+/// `(concept, radius)` over the immutable network, so it is cached under
+/// that key ([`VectorKey`]) and shared across targets, documents, workers
+/// and runs.
 ///
 /// Caches that don't implement a vector table (the trait's default) simply
 /// always miss, and this degrades to [`concept_context_vector`] plus an
@@ -350,14 +348,13 @@ pub fn concept_context_vector_cached<C: SimilarityCache + ?Sized>(
     sn: &SemanticNetwork,
     center: ConceptId,
     radius: u32,
-    filter: &RelationFilter,
     cache: &C,
 ) -> Arc<SparseVector> {
-    let key: VectorKey = (center, radius, filter.fingerprint());
+    let key: VectorKey = (center, radius);
     if let Some(v) = cache.lookup_vector(key) {
         return v;
     }
-    let v = Arc::new(concept_context_vector(sn, center, radius, filter));
+    let v = Arc::new(concept_context_vector(sn, center, radius));
     cache.store_vector(key, Arc::clone(&v));
     v
 }
@@ -369,11 +366,10 @@ pub fn compound_concept_context_vector(
     first: ConceptId,
     second: ConceptId,
     radius: u32,
-    filter: &RelationFilter,
 ) -> SparseVector {
     let mut all: Vec<(ConceptId, u32)> = vec![(first, 0), (second, 0)];
-    all.extend(concept_sphere(sn, first, radius, filter));
-    all.extend(concept_sphere(sn, second, radius, filter));
+    all.extend(concept_sphere(sn, first, radius));
+    all.extend(concept_sphere(sn, second, radius));
     // Union: keep the minimal distance per concept.
     all.sort_by_key(|&(c, d)| (c, d));
     all.dedup_by_key(|&mut (c, _)| c);
@@ -591,7 +587,7 @@ mod tests {
     fn concept_vector_contains_own_lemmas() {
         let sn = mini_wordnet();
         let star = sn.by_key("star.performer").unwrap();
-        let v = labelled(concept_context_vector(sn, star, 1, &RelationFilter::All));
+        let v = labelled(concept_context_vector(sn, star, 1));
         assert!(v.get("star") > 0.0);
         // Direct hypernym "actor" present at distance 1.
         assert!(v.get("actor") > 0.0);
@@ -602,8 +598,8 @@ mod tests {
     fn concept_vector_grows_with_radius() {
         let sn = mini_wordnet();
         let cast = sn.by_key("cast.actors").unwrap();
-        let v1 = concept_context_vector(sn, cast, 1, &RelationFilter::All);
-        let v2 = concept_context_vector(sn, cast, 2, &RelationFilter::All);
+        let v1 = concept_context_vector(sn, cast, 1);
+        let v2 = concept_context_vector(sn, cast, 2);
         assert!(v2.len() >= v1.len());
     }
 
@@ -612,15 +608,15 @@ mod tests {
         let sn = mini_wordnet();
         let cache = semsim::LocalCache::new();
         let star = sn.by_key("star.performer").unwrap();
-        let fresh = concept_context_vector(sn, star, 2, &RelationFilter::All);
-        let first = concept_context_vector_cached(sn, star, 2, &RelationFilter::All, &cache);
+        let fresh = concept_context_vector(sn, star, 2);
+        let first = concept_context_vector_cached(sn, star, 2, &cache);
         assert_eq!(cache.vectors_len(), 1);
-        let second = concept_context_vector_cached(sn, star, 2, &RelationFilter::All, &cache);
+        let second = concept_context_vector_cached(sn, star, 2, &cache);
         // Second call is served from the table — same allocation.
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(*first, fresh);
         // Different radius is a different entry.
-        let r1 = concept_context_vector_cached(sn, star, 1, &RelationFilter::All, &cache);
+        let r1 = concept_context_vector_cached(sn, star, 1, &cache);
         assert!(!Arc::ptr_eq(&first, &r1));
         assert_eq!(cache.vectors_len(), 2);
     }
@@ -630,17 +626,11 @@ mod tests {
         let sn = mini_wordnet();
         let star = sn.by_key("star.performer").unwrap();
         let pic = sn.by_key("picture.image").unwrap();
-        let v = labelled(compound_concept_context_vector(
-            sn,
-            star,
-            pic,
-            1,
-            &RelationFilter::All,
-        ));
+        let v = labelled(compound_concept_context_vector(sn, star, pic, 1));
         assert!(v.get("star") > 0.0);
         assert!(v.get("picture") > 0.0);
         // The union must cover both individual neighborhoods' dimensions.
-        let v_star = labelled(concept_context_vector(sn, star, 1, &RelationFilter::All));
+        let v_star = labelled(concept_context_vector(sn, star, 1));
         for (label, _) in v_star.iter() {
             assert!(v.get(label) > 0.0, "missing {label}");
         }
@@ -655,7 +645,7 @@ mod tests {
         let xml_v = xml_context_vector(mini_wordnet(), &t, cast, 2);
         let sn = mini_wordnet();
         let cast_actors = sn.by_key("cast.actors").unwrap();
-        let sn_v = concept_context_vector(sn, cast_actors, 2, &RelationFilter::All);
+        let sn_v = concept_context_vector(sn, cast_actors, 2);
         assert!(
             xml_v.vector().cosine(&sn_v) > 0.0,
             "contexts should overlap on cast/star vocabulary"

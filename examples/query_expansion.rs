@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use semnet::graph::{concept_sphere, RelationFilter};
+use semnet::graph::concept_sphere;
 use xsdf::{Xsdf, XsdfConfig};
 
 const CORPUS: &[(&str, &str)] = &[
@@ -78,7 +78,7 @@ fn main() {
     //    hyponyms, members — the paper's "semantically related terms").
     let mut expansion: BTreeSet<String> = BTreeSet::new();
     expansion.insert(sn.concept(query_concept).key.clone());
-    for (concept, _) in concept_sphere(sn, query_concept, 2, &RelationFilter::All) {
+    for (concept, _) in concept_sphere(sn, query_concept, 2) {
         expansion.insert(sn.concept(concept).key.clone());
     }
     println!("\nexpanded to {} concepts, e.g.:", expansion.len());

@@ -71,12 +71,7 @@ fn xml_and_concept_vectors_share_one_label_space() {
         .tree;
     let cast = tree.preorder().find(|&n| tree.label(n) == "cast").unwrap();
     let xml_v = xml_context_vector(sn, &tree, cast, 2);
-    let concept_v = concept_context_vector(
-        sn,
-        sn.by_key("cast.actors").unwrap(),
-        2,
-        &semnet::graph::RelationFilter::All,
-    );
+    let concept_v = concept_context_vector(sn, sn.by_key("cast.actors").unwrap(), 2);
     // Both vectors mention "star" (structural sibling / member concept).
     assert!(xml_v.get("star") > 0.0);
     let concept_labelled = LabelledVector::of_concept_vector(sn, concept_v.clone());
