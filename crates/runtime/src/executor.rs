@@ -5,29 +5,27 @@
 //! one [`SharedCache`] (via a per-run [`TallyCache`] view), so sense pairs
 //! computed for any document are reused by every other. Workers pull jobs
 //! off a shared counter (dynamic load balancing — documents vary widely in
-//! size) and send results back over a channel tagged with the input index;
-//! the collector reassembles them in input order, so output is
-//! deterministic regardless of thread count or scheduling. Scores
-//! themselves are thread-count-independent too: the cache only memoizes a
-//! pure function of the concept pair.
+//! size) and return their results tagged with the input index, which
+//! places them in input order, so output is deterministic regardless of
+//! thread count or scheduling. Scores themselves are
+//! thread-count-independent too: the cache only memoizes a pure function
+//! of the concept pair.
 //!
 //! Failure is always per-document: a panic anywhere in one document's
 //! pipeline is caught at the document boundary ([`std::panic::catch_unwind`])
 //! and becomes [`XsdfError::Panicked`] in that document's slot while its
-//! batch neighbors complete; resource overruns ([`ResourceLimits`]) and
-//! deadline overruns ([`BatchEngine::deadline`]) surface the same way as
-//! [`XsdfError::LimitExceeded`] / [`XsdfError::DeadlineExceeded`].
+//! batch neighbors complete; resource overruns and deadline overruns
+//! ([`ResourceLimits`], [`ResourceLimits::deadline`]) surface the same way
+//! as [`XsdfError::LimitExceeded`] / [`XsdfError::DeadlineExceeded`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use semnet::SemanticNetwork;
 use semsim::{CombinedSimilarity, PairKey};
-use xsdf::guard::Deadline;
 use xsdf::{DisambiguationResult, Xsdf, XsdfConfig};
 
 use crate::cache::{SharedCache, TallyCache};
@@ -119,8 +117,8 @@ pub struct DocOutcome {
     pub metrics: MetricsSnapshot,
 }
 
-/// A reusable parallel batch-disambiguation engine with panic isolation,
-/// per-document resource limits, and deadlines.
+/// A reusable parallel batch-disambiguation engine with panic isolation
+/// and per-document resource limits, the deadline among them.
 ///
 /// ```
 /// use runtime::{BatchEngine, ResourceLimits};
@@ -139,7 +137,6 @@ pub struct BatchEngine<'sn> {
     threads: usize,
     cache: Arc<SharedCache>,
     limits: ResourceLimits,
-    deadline: Option<Duration>,
     fail_fast: bool,
     tracing: bool,
     cancel: Option<&'sn AtomicBool>,
@@ -147,15 +144,14 @@ pub struct BatchEngine<'sn> {
 
 impl<'sn> BatchEngine<'sn> {
     /// An engine over the given network and pipeline configuration, with
-    /// one worker per available core, no resource limits, no deadline, and
-    /// keep-going failure handling.
+    /// one worker per available core, no resource limits, and keep-going
+    /// failure handling.
     pub fn new(sn: &'sn SemanticNetwork, config: XsdfConfig) -> Self {
         Self {
             xsdf: Xsdf::new(sn, config),
             threads: default_threads(),
             cache: Arc::new(SharedCache::new()),
             limits: ResourceLimits::unlimited(),
-            deadline: None,
             fail_fast: false,
             tracing: false,
             cancel: None,
@@ -172,19 +168,10 @@ impl<'sn> BatchEngine<'sn> {
         self
     }
 
-    /// Sets the per-document resource limits.
+    /// Sets the per-document resource limits, the wall-clock deadline
+    /// ([`ResourceLimits::deadline`]) among them.
     pub fn limits(mut self, limits: ResourceLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Sets a per-document wall-clock deadline. Each document gets its own
-    /// budget, started when a worker picks it up; overrunning documents
-    /// return [`XsdfError::DeadlineExceeded`] at the next cooperative
-    /// check. Necessarily time-dependent, so which documents trip is not
-    /// deterministic — only that no document stalls a worker forever.
-    pub fn deadline(mut self, per_document: Duration) -> Self {
-        self.deadline = Some(per_document);
         self
     }
 
@@ -262,74 +249,71 @@ impl<'sn> BatchEngine<'sn> {
     pub fn run(&self, docs: &[&str]) -> BatchReport {
         let started = Instant::now();
         let threads = self.threads.clamp(1, docs.len().max(1));
+        let mut report = self.execute(docs, threads, started);
+        report.metrics.threads = threads;
+        report.metrics.wall_clock = started.elapsed();
+        report.metrics.read_cache_gauges(&self.cache);
+        report
+    }
 
-        let mut slots: Vec<Option<Result<DisambiguationResult, XsdfError>>> =
-            (0..docs.len()).map(|_| None).collect();
+    /// The one worker loop behind [`BatchEngine::run`] and
+    /// [`BatchEngine::process_document_observed`]: `threads` workers (one
+    /// inline, more on scoped threads) take indices off a shared counter
+    /// and return their `(index, outcome)` pairs, metrics and spans. A slot
+    /// never scheduled reports [`XsdfError::Cancelled`]. The run-level
+    /// metric fields (`threads`, `wall_clock`, cache gauges) are the
+    /// caller's.
+    fn execute(&self, docs: &[&str], threads: usize, epoch: Instant) -> BatchReport {
+        let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
-
-        let (mut metrics, mut spans) = if threads <= 1 {
-            let mut worker = self.worker(0);
-            for (i, (slot, xml)) in slots.iter_mut().zip(docs).enumerate() {
-                if self.should_stop(&cancelled) {
+        let work = |id| {
+            let mut worker = self.worker(id);
+            let mut outcomes = Vec::new();
+            while !self.should_stop(&cancelled) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= docs.len() {
                     break;
                 }
-                *slot = Some(self.run_one(&mut worker, i, xml, started, &cancelled));
+                outcomes.push((i, self.run_one(&mut worker, i, docs[i], epoch, &cancelled)));
             }
-            worker.finish()
+            (outcomes, worker.finish())
+        };
+        let shares = if threads == 1 {
+            vec![work(0)]
         } else {
-            let next = AtomicUsize::new(0);
-            let (result_tx, result_rx) = mpsc::channel();
             std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..threads)
-                    .map(|id| {
-                        let result_tx = result_tx.clone();
-                        let (next, cancelled) = (&next, &cancelled);
-                        scope.spawn(move || {
-                            let mut worker = self.worker(id);
-                            while !self.should_stop(cancelled) {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= docs.len() {
-                                    break;
-                                }
-                                let outcome =
-                                    self.run_one(&mut worker, i, docs[i], started, cancelled);
-                                if result_tx.send((i, outcome)).is_err() {
-                                    // The collector is gone (it panicked or was
-                                    // dropped early). Nobody can use further
-                                    // results; stop quietly instead of
-                                    // panicking a second thread.
-                                    break;
-                                }
-                            }
-                            worker.finish()
-                        })
-                    })
+                    .map(|id| scope.spawn(move || work(id)))
                     .collect();
-                drop(result_tx);
-                // Collect on the scope's owning thread while workers run.
-                for (i, outcome) in result_rx {
-                    slots[i] = Some(outcome);
-                }
-                let mut totals = (MetricsSnapshot::default(), Vec::new());
-                for worker in workers {
-                    // invariant: `run_one` catches every document's panic, so
-                    // a worker thread always returns its records
-                    let (metrics, mut spans) = worker.join().expect("worker thread panicked");
-                    totals.0.merge(&metrics);
-                    totals.1.append(&mut spans);
-                }
-                totals
+                workers
+                    .into_iter()
+                    // invariant: `run_one` catches every document's panic,
+                    // so a worker thread always returns its share
+                    .map(|worker| worker.join().expect("worker thread panicked"))
+                    .collect()
             })
         };
 
-        // Slots never scheduled (fail-fast cancellation) report as such.
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            results.push(slot.unwrap_or_else(|| {
-                metrics.count_document(Some(&XsdfError::Cancelled));
-                Err(XsdfError::Cancelled)
-            }));
+        let mut slots: Vec<Option<Result<DisambiguationResult, XsdfError>>> =
+            (0..docs.len()).map(|_| None).collect();
+        let mut metrics = MetricsSnapshot::default();
+        let mut spans = Vec::new();
+        for (outcomes, (share_metrics, mut share_spans)) in shares {
+            for (i, outcome) in outcomes {
+                slots[i] = Some(outcome);
+            }
+            metrics.merge(&share_metrics);
+            spans.append(&mut share_spans);
         }
+        let results = slots
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    metrics.count_document(Some(&XsdfError::Cancelled));
+                    Err(XsdfError::Cancelled)
+                })
+            })
+            .collect();
         // The span streams arrive in whatever order workers drained the
         // queue; sorting by input index makes the merged trace
         // deterministic for a given batch and thread count.
@@ -337,9 +321,6 @@ impl<'sn> BatchEngine<'sn> {
             spans.sort_by_key(|s| s.doc);
             Trace { spans, threads }
         });
-        metrics.threads = threads;
-        metrics.wall_clock = started.elapsed();
-        metrics.read_cache_gauges(&self.cache);
         BatchReport {
             results,
             metrics,
@@ -347,9 +328,9 @@ impl<'sn> BatchEngine<'sn> {
         }
     }
 
-    /// Disambiguates a single document under the engine's limits and
-    /// deadline, with panic isolation. This is `run(&[xml])` without the
-    /// batch scaffolding; the CLI uses it for `xsdf disambiguate`.
+    /// Disambiguates a single document under the engine's limits, with
+    /// panic isolation. This is `run(&[xml])` without the batch
+    /// scaffolding; the CLI uses it for `xsdf disambiguate`.
     pub fn process_document(&self, xml: &str) -> Result<DisambiguationResult, XsdfError> {
         self.process_document_observed(xml).result
     }
@@ -361,12 +342,15 @@ impl<'sn> BatchEngine<'sn> {
     /// outcomes into live metrics instead of reading a whole-batch
     /// [`MetricsSnapshot`].
     pub fn process_document_observed(&self, xml: &str) -> DocOutcome {
-        let mut worker = self.worker(0);
-        let result = self.run_one(&mut worker, 0, xml, Instant::now(), &AtomicBool::new(false));
-        let (metrics, mut spans) = worker.finish();
+        let BatchReport {
+            mut results,
+            metrics,
+            trace,
+        } = self.execute(&[xml], 1, Instant::now());
         DocOutcome {
-            result,
-            span: spans.pop(),
+            // invariant: `execute` returns one result per input document
+            result: results.pop().expect("one result per document"),
+            span: trace.and_then(|mut trace| trace.spans.pop()),
             metrics,
         }
     }
@@ -464,7 +448,7 @@ impl<'sn> BatchEngine<'sn> {
         run: &mut DocRun<'_>,
         sim: &CombinedSimilarity<TallyCache>,
     ) -> Result<DisambiguationResult, XsdfError> {
-        let guard = self.limits.guard(self.deadline.map(Deadline::after));
+        let guard = self.limits.guard();
         let outcome = self.process_stages(run, sim, &guard);
         run.span.sense_pairs = guard.pairs_scored();
         run.metrics.sense_pairs += guard.pairs_scored();
@@ -551,6 +535,7 @@ fn default_threads() -> usize {
 mod tests {
     use super::*;
     use semnet::mini_wordnet;
+    use std::time::Duration;
     use xsdf::LimitKind;
 
     const DOC: &str = r#"<films>
@@ -621,7 +606,7 @@ mod tests {
     fn zero_deadline_fails_every_document_gracefully() {
         let engine = BatchEngine::new(mini_wordnet(), XsdfConfig::default())
             .threads(2)
-            .deadline(Duration::ZERO);
+            .limits(ResourceLimits::unlimited().deadline(Duration::ZERO));
         let report = engine.run(&[DOC, DOC, DOC]);
         assert_eq!(report.metrics.failures.deadline, 3);
         for result in &report.results {
@@ -646,21 +631,29 @@ mod tests {
 
     #[test]
     fn external_cancel_flag_stops_scheduling() {
-        let flag = AtomicBool::new(true);
-        let engine = BatchEngine::new(mini_wordnet(), XsdfConfig::default())
-            .threads(1)
-            .cancel_flag(&flag);
-        // Raised before the run: nothing is scheduled at all.
-        let report = engine.run(&[DOC, DOC, DOC]);
-        assert!(report
-            .results
-            .iter()
-            .all(|r| matches!(r, Err(XsdfError::Cancelled))));
-        assert_eq!(report.metrics.failures.cancelled, 3);
-        // Lowered again: the same engine processes normally.
-        flag.store(false, Ordering::Relaxed);
-        let report = engine.run(&[DOC]);
-        assert!(report.results[0].is_ok());
+        // The inline worker and a two-thread pool run the same loop.
+        for threads in [1, 2] {
+            let flag = AtomicBool::new(true);
+            let engine = BatchEngine::new(mini_wordnet(), XsdfConfig::default())
+                .threads(threads)
+                .cancel_flag(&flag);
+            // Raised before the run: nothing is scheduled at all.
+            let report = engine.run(&[DOC, DOC, DOC]);
+            assert!(report
+                .results
+                .iter()
+                .all(|r| matches!(r, Err(XsdfError::Cancelled))));
+            assert_eq!(report.metrics.failures.cancelled, 3, "{threads} threads");
+            assert_eq!(report.metrics.threads, threads);
+            // Lowered again: the same engine processes normally.
+            flag.store(false, Ordering::Relaxed);
+            let report = engine.run(&[DOC, DOC]);
+            assert!(
+                report.results.iter().all(|r| r.is_ok()),
+                "{threads} threads"
+            );
+            assert_eq!(report.metrics.threads, threads);
+        }
     }
 
     #[test]

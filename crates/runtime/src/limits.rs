@@ -9,6 +9,8 @@
 //! scoring. The default is unlimited in every dimension but nesting
 //! depth, which never exceeds [`MAX_DEPTH`].
 
+use std::time::Duration;
+
 use xmltree::parser::Parser;
 use xmltree::Document;
 use xsdf::guard::{Deadline, Guard};
@@ -26,13 +28,15 @@ pub const MAX_DEPTH: u32 = 256;
 ///
 /// ```
 /// use runtime::ResourceLimits;
+/// use std::time::Duration;
 ///
 /// let limits = ResourceLimits::unlimited()
 ///     .max_bytes(1 << 20)        // 1 MiB of raw XML
 ///     .max_nodes(50_000)         // tree nodes after building
 ///     .max_depth(128)            // element nesting while parsing
 ///     .max_targets(5_000)        // selected disambiguation targets
-///     .max_sense_pairs(200_000); // single-sense evaluations while scoring
+///     .max_sense_pairs(200_000)  // single-sense evaluations while scoring
+///     .deadline(Duration::from_secs(2)); // wall clock from document pickup
 /// assert_eq!(limits.max_bytes, Some(1 << 20));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,6 +58,9 @@ pub struct ResourceLimits {
     /// the budget measures work, not loop iterations. See
     /// [`xsdf::Guard::tick_sense_pair`] for the canonical definition.
     pub max_sense_pairs: Option<u64>,
+    /// Maximum wall-clock time per document, counted from the moment a
+    /// worker picks the document up (see [`ResourceLimits::deadline`]).
+    pub deadline: Option<Duration>,
 }
 
 impl ResourceLimits {
@@ -94,6 +101,16 @@ impl ResourceLimits {
         self
     }
 
+    /// Sets a per-document wall-clock deadline. Each document gets its own
+    /// budget, started when a worker picks it up; overrunning documents
+    /// return [`XsdfError::DeadlineExceeded`] at the next cooperative
+    /// check. Necessarily time-dependent, so which documents trip is not
+    /// deterministic — only that no document stalls a worker forever.
+    pub fn deadline(mut self, per_document: Duration) -> Self {
+        self.deadline = Some(per_document);
+        self
+    }
+
     /// The nesting bound documents are parsed with: `max_depth` capped at
     /// [`MAX_DEPTH`], or [`MAX_DEPTH`] itself when unset.
     pub fn depth_bound(&self) -> u32 {
@@ -112,14 +129,15 @@ impl ResourceLimits {
 
     /// Checks a built tree's node count against `max_nodes`.
     pub fn check_nodes(&self, nodes: usize) -> Result<(), XsdfError> {
-        Ok(self.guard(None).check_nodes(nodes)?)
+        Ok(self.guard().check_nodes(nodes)?)
     }
 
     /// The cooperative in-pipeline guard for one document: the node,
-    /// target, and sense-pair budgets plus an optional deadline. Byte and
-    /// depth bounds are enforced by the engine itself before this guard
-    /// comes into play.
-    pub(crate) fn guard(&self, deadline: Option<Deadline>) -> Guard {
+    /// target, and sense-pair budgets plus the deadline, whose clock starts
+    /// now — the engine builds the guard when a worker picks the document
+    /// up. Byte and depth bounds are enforced by the engine itself before
+    /// this guard comes into play.
+    pub(crate) fn guard(&self) -> Guard {
         let mut guard = Guard::unlimited();
         if let Some(max) = self.max_nodes {
             guard = guard.with_max_nodes(max);
@@ -130,8 +148,8 @@ impl ResourceLimits {
         if let Some(max) = self.max_sense_pairs {
             guard = guard.with_max_sense_pairs(max);
         }
-        if let Some(deadline) = deadline {
-            guard = guard.with_deadline(deadline);
+        if let Some(budget) = self.deadline {
+            guard = guard.with_deadline(Deadline::after(budget));
         }
         guard
     }
@@ -145,7 +163,7 @@ mod tests {
     fn default_is_unlimited() {
         let limits = ResourceLimits::default();
         assert_eq!(limits, ResourceLimits::unlimited());
-        assert!(limits.guard(None).is_unlimited());
+        assert!(limits.guard().is_unlimited());
     }
 
     #[test]
@@ -155,13 +173,15 @@ mod tests {
             .max_nodes(2)
             .max_depth(3)
             .max_targets(4)
-            .max_sense_pairs(5);
+            .max_sense_pairs(5)
+            .deadline(Duration::from_millis(6));
         assert_eq!(limits.max_bytes, Some(1));
         assert_eq!(limits.max_nodes, Some(2));
         assert_eq!(limits.max_depth, Some(3));
         assert_eq!(limits.max_targets, Some(4));
         assert_eq!(limits.max_sense_pairs, Some(5));
-        let guard = limits.guard(None);
+        assert_eq!(limits.deadline, Some(Duration::from_millis(6)));
+        let guard = limits.guard();
         assert!(guard.check_nodes(3).is_err());
         assert!(guard.check_targets(5).is_err());
     }

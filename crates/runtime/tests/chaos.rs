@@ -115,8 +115,11 @@ fn acceptance_mix_16_of_32_survive_identically_at_all_thread_counts() {
             for threads in [1usize, 2, 8] {
                 let report = engine()
                     .threads(threads)
-                    .limits(ResourceLimits::unlimited().max_depth(16))
-                    .deadline(Duration::from_millis(150))
+                    .limits(
+                        ResourceLimits::unlimited()
+                            .max_depth(16)
+                            .deadline(Duration::from_millis(150)),
+                    )
                     .run(&views);
 
                 let failures = report.metrics.failures;
@@ -175,7 +178,7 @@ fn injected_delay_trips_the_deadline_only_on_marked_documents() {
         || {
             let report = engine()
                 .threads(2)
-                .deadline(Duration::from_millis(100))
+                .limits(ResourceLimits::unlimited().deadline(Duration::from_millis(100)))
                 .run(&[HEALTHY, &slow, HEALTHY]);
             assert!(report.results[0].is_ok());
             match &report.results[1] {

@@ -169,7 +169,9 @@ fn sense_pair_budget_trips_inside_the_scoring_loop() {
 
 #[test]
 fn zero_deadline_reports_budget_and_elapsed() {
-    let engine = engine().threads(1).deadline(Duration::ZERO);
+    let engine = engine()
+        .threads(1)
+        .limits(ResourceLimits::unlimited().deadline(Duration::ZERO));
     let report = engine.run(&[HEALTHY]);
     match &report.results[0] {
         Err(XsdfError::DeadlineExceeded { budget, .. }) => {
@@ -189,7 +191,9 @@ fn wide_documents_answer_near_their_deadline() {
     // building the tree (about 0.5 s in a debug build), so selection
     // always runs before it expires.
     let wide = pathological::mega_fanout(10_000);
-    let engine = engine().threads(1).deadline(Duration::from_secs(2));
+    let engine = engine()
+        .threads(1)
+        .limits(ResourceLimits::unlimited().deadline(Duration::from_secs(2)));
     let started = Instant::now();
     let report = engine.run(&[wide.as_str()]);
     let elapsed = started.elapsed();
@@ -207,17 +211,15 @@ fn wide_documents_answer_near_their_deadline() {
 fn generous_limits_change_nothing() {
     // A fully limited engine whose ceilings are far above the documents
     // must produce byte-identical output to an unlimited one.
-    let limited = engine()
-        .threads(1)
-        .limits(
-            ResourceLimits::unlimited()
-                .max_bytes(1 << 20)
-                .max_nodes(100_000)
-                .max_depth(200)
-                .max_targets(10_000)
-                .max_sense_pairs(10_000_000),
-        )
-        .deadline(Duration::from_secs(60));
+    let limited = engine().threads(1).limits(
+        ResourceLimits::unlimited()
+            .max_bytes(1 << 20)
+            .max_nodes(100_000)
+            .max_depth(200)
+            .max_targets(10_000)
+            .max_sense_pairs(10_000_000)
+            .deadline(Duration::from_secs(60)),
+    );
     let unlimited = engine().threads(1);
     let docs = [HEALTHY, &pathological::hyper_polysemous(2)];
     let a = limited.run(&docs);

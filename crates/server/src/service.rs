@@ -83,10 +83,9 @@ pub struct ServerConfig {
     pub base: XsdfConfig,
     /// Per-request resource limits (enforced by the engine). `max_bytes`
     /// is also the HTTP body ceiling: a request declaring a larger
-    /// `Content-Length` is refused with 413 before its body is read.
+    /// `Content-Length` is refused with 413 before its body is read. An
+    /// overrun `deadline` maps to the `deadline` error kind and a 504.
     pub limits: ResourceLimits,
-    /// Per-request deadline (maps to a `deadline` error kind / 504).
-    pub deadline: Option<Duration>,
     /// Stream a slow-document report to stderr for requests at or over
     /// this engine-time threshold (the `--slow-ms` of batch mode).
     pub slow: Option<Duration>,
@@ -111,7 +110,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             base: XsdfConfig::default(),
             limits: ResourceLimits::unlimited(),
-            deadline: None,
             slow: None,
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(10),
@@ -562,15 +560,11 @@ impl<'sn> Server<'sn> {
         }
         let queue_wait = admission_start.elapsed();
 
-        let mut engine = BatchEngine::new(self.sn, config)
-            .threads(1)
+        let outcome = BatchEngine::new(self.sn, config)
             .limits(self.config.limits)
             .shared_cache(Arc::clone(&self.cache))
-            .tracing(self.config.slow.is_some());
-        if let Some(deadline) = self.config.deadline {
-            engine = engine.deadline(deadline);
-        }
-        let outcome = engine.process_document_observed(body);
+            .tracing(self.config.slow.is_some())
+            .process_document_observed(body);
         self.admission.release();
 
         let request_id = self.req_seq.fetch_add(1, Ordering::SeqCst);
