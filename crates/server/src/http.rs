@@ -11,9 +11,11 @@
 //! platform-specific polling.
 //!
 //! Scope (deliberate): `Content-Length` bodies only (`Transfer-Encoding`
-//! is answered with 501), no multiline headers, no TLS. Requests whose
-//! first byte has arrived are always read to completion — draining only
-//! aborts waits for a *next* request.
+//! is answered with 501), no multiline headers, no TLS. A request whose
+//! first byte has arrived is read to completion or until its read
+//! deadline, checked after every read whether or not bytes arrived, so a
+//! client trickling bytes cannot hold a connection past it — draining
+//! only aborts waits for a *next* request.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -214,6 +216,9 @@ impl Conn {
         let started = Instant::now();
         // Carried-over pipelined bytes count as a started request.
         let mut first_byte: Option<Instant> = (!self.buf.is_empty()).then(Instant::now);
+        let overdue = |first_byte: Option<Instant>| {
+            first_byte.is_some_and(|t0| t0.elapsed() >= opts.read_timeout)
+        };
 
         // Phase 1: accumulate the head.
         let head_end = loop {
@@ -222,6 +227,9 @@ impl Conn {
             }
             if self.buf.len() > opts.max_header_bytes {
                 return Err(HttpError::HeadersTooLarge(opts.max_header_bytes));
+            }
+            if overdue(first_byte) {
+                return Err(HttpError::Timeout);
             }
             match self.fill(opts.quantum)? {
                 Fill::Data => {
@@ -234,21 +242,15 @@ impl Conn {
                         Err(HttpError::Malformed("connection closed mid-head".into()))
                     };
                 }
-                Fill::Quantum => match first_byte {
-                    None => {
-                        if opts.idle_abort.is_some_and(|abort| abort()) {
-                            return Ok(None);
-                        }
-                        if started.elapsed() >= opts.idle_timeout {
-                            return Ok(None);
-                        }
+                Fill::Quantum if first_byte.is_none() => {
+                    if opts.idle_abort.is_some_and(|abort| abort()) {
+                        return Ok(None);
                     }
-                    Some(t0) => {
-                        if t0.elapsed() >= opts.read_timeout {
-                            return Err(HttpError::Timeout);
-                        }
+                    if started.elapsed() >= opts.idle_timeout {
+                        return Ok(None);
                     }
-                },
+                }
+                Fill::Quantum => {}
             }
         };
 
@@ -295,18 +297,12 @@ impl Conn {
                 .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
                 .map_err(HttpError::Io)?;
         }
-        let body_started = Instant::now();
         while self.buf.len() < body_len {
-            match self.fill(opts.quantum)? {
-                Fill::Data => {}
-                Fill::Eof => {
-                    return Err(HttpError::Malformed("connection closed mid-body".into()));
-                }
-                Fill::Quantum => {
-                    if body_started.elapsed() >= opts.read_timeout {
-                        return Err(HttpError::Timeout);
-                    }
-                }
+            if overdue(first_byte) {
+                return Err(HttpError::Timeout);
+            }
+            if let Fill::Eof = self.fill(opts.quantum)? {
+                return Err(HttpError::Malformed("connection closed mid-body".into()));
             }
         }
         let body: Vec<u8> = self.buf.drain(..body_len).collect();
