@@ -575,6 +575,16 @@ fn unknown_flags_are_usage_errors() {
         ("serve", &["--mem-soft", "1", "--network", no_network]),
         ("serve", &["--mem-hard", "1", "--network", no_network]),
         ("batch", &["--keep-going"]),
+        // A flag only another subcommand reads is unknown here too.
+        ("disambiguate", &["--threads", "8", "--cache-bytes", "1"]),
+        ("batch", &["--addr", "0.0.0.0:1", "--count", "5"]),
+        ("senses", &["--export", "f"]),
+        ("ambiguity", &["--deadline-ms", "1"]),
+        ("network", &["--shard-out", "r"]),
+        ("gen-corpus", &["--radius", "2"]),
+        ("compile-network", &["--export", "f"]),
+        ("import-wndb", &["--network", "n"]),
+        ("serve", &["--annotate", "--network", no_network]),
     ] {
         let flag = args[0];
         let output = xsdf().arg(command).arg(&doc).args(args).output().unwrap();
