@@ -131,7 +131,8 @@ impl Histogram {
     /// yields a structurally equal histogram.
     pub fn decode(text: &str) -> Option<Self> {
         // The layout caps bucket indices: the topmost octave of a u64
-        // nanosecond value lands below (64 - SUB_SHIFT + 1) * SUBBUCKETS.
+        // nanosecond value lands below (64 - SUB_SHIFT + 1) * SUBBUCKETS,
+        // so `u64::MAX` ns records at index MAX_INDEX - 1.
         const MAX_INDEX: usize = ((64 - SUB_SHIFT as usize) + 1) << SUB_SHIFT;
         let mut parts = text.split(';');
         let head = parts.next()?;
@@ -148,7 +149,7 @@ impl Histogram {
             let (index, n) = part.split_once(':')?;
             let index: usize = index.parse().ok()?;
             let n: u64 = n.parse().ok()?;
-            if n == 0 || index > MAX_INDEX {
+            if n == 0 || index >= MAX_INDEX {
                 return None;
             }
             if buckets.len() <= index {
@@ -371,10 +372,13 @@ mod tests {
             "1,0,0;0:0",     // explicit zero counter
             "2,0,0;0:1;0:1", // duplicate index
             "1,0,0;99999:1", // index outside the layout
+            "1,0,0;976:1",   // one past the index of u64::MAX ns
             "1,0,0,extra;0:1",
         ] {
             assert_eq!(Histogram::decode(bad), None, "accepted {bad:?}");
         }
+        // The topmost index the layout has still decodes.
+        assert!(Histogram::decode("1,0,0;975:1").is_some());
     }
 
     #[test]
